@@ -1,12 +1,11 @@
 (* nocmap: command-line driver for the multi-use-case NoC design flow.
 
-   Subcommands:
-     map          design a NoC for a benchmark and print the result
-     experiments  regenerate the paper's figures
-     generate     print a synthetic benchmark's traffic
-     simulate     design, then simulate every use-case configuration *)
+   The spec-consuming commands (map, explore, lint, certify, remap, and
+   simulate/report on top of map) build the same [Protocol.op] that
+   [nocmap client] sends to a [nocmap serve] daemon and run it in
+   process through [Noc_serve.Service], the daemon's own path; their
+   [--json] bytes are the [Payload] the daemon would return. *)
 
-module Config = Noc_arch.Noc_config
 module Mesh = Noc_arch.Mesh
 module Use_case = Noc_traffic.Use_case
 module DF = Noc_core.Design_flow
@@ -15,8 +14,21 @@ module WC = Noc_core.Worst_case
 module Syn = Noc_benchkit.Synthetic
 module SD = Noc_benchkit.Soc_designs
 module Sim = Noc_sim.Simulator
+module Protocol = Noc_serve.Protocol
+module Service = Noc_serve.Service
+module Payload = Noc_serve.Payload
 
 open Cmdliner
+
+let ( let* ) = Result.bind
+
+(* Cmdliner's [ret] view of a command body's result. *)
+let ret_of = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
+let read_file file =
+  try Ok (In_channel.with_open_bin file In_channel.input_all) with Sys_error msg -> Error msg
+
+let write_file file text = Out_channel.with_open_text file (fun oc -> output_string oc text)
 
 (* --- benchmark selection ------------------------------------------------- *)
 
@@ -37,11 +49,13 @@ let load_benchmark ~name ~use_cases ~seed =
       (Printf.sprintf
          "unknown benchmark '%s' (expected d1|d2|d3|d4|example1|viper|mobile|sp|bot)" other)
 
-(* --- common options -------------------------------------------------------- *)
+(* --- input: which spec ------------------------------------------------------ *)
 
-let bench_arg =
+let bench_arg_at n =
   let doc = "Benchmark: d1, d2, d3, d4, example1, viper, mobile, sp (spread), bot (bottleneck)." in
-  Arg.(value & pos 0 string "example1" & info [] ~docv:"BENCHMARK" ~doc)
+  Arg.(value & pos n string "example1" & info [] ~docv:"BENCHMARK" ~doc)
+
+let bench_arg = bench_arg_at 0
 
 let use_cases_arg =
   let doc = "Number of use-cases for synthetic benchmarks (sp/bot)." in
@@ -51,25 +65,57 @@ let seed_arg =
   let doc = "PRNG seed for synthetic benchmarks." in
   Arg.(value & opt int 200 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let freq_arg =
-  let doc = "NoC operating frequency, MHz." in
-  Arg.(value & opt float 500.0 & info [ "freq"; "f" ] ~docv:"MHZ" ~doc)
+let spec_arg =
+  let doc = "Read the design from a spec file instead of a named benchmark (see Noc_core.Spec_parser for the format)." in
+  Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
 
-let slots_arg =
-  let doc = "TDMA slot-table size." in
-  Arg.(value & opt int 32 & info [ "slots" ] ~docv:"SLOTS" ~doc)
+(* A request's spec travels as text: a spec file as its raw bytes,
+   named after the file as [Spec_parser.parse_file] would name it. *)
+type input = { name : string; text : string; file : string option }
 
-let nis_arg =
-  let doc = "Maximum NIs (cores) per switch." in
-  Arg.(value & opt int 8 & info [ "nis-per-switch" ] ~docv:"N" ~doc)
+let read_spec file =
+  match read_file file with
+  | Ok text -> Ok (Filename.remove_extension (Filename.basename file), text)
+  | Error msg -> Error (Printf.sprintf "%s: line 0: %s" file msg)
 
-let xy_arg =
-  let doc = "Use dimension-ordered (XY) routing instead of min-cost path search." in
-  Arg.(value & flag & info [ "xy" ] ~doc)
+(* A benchmark becomes its canonical [Spec_parser.to_text] rendering,
+   so a one-shot command and the daemon parse the very same text. *)
+let input_term ?(pos = 0) () =
+  let resolve bench use_cases seed = function
+    | Some file ->
+      let* name, text = read_spec file in
+      Ok { name; text; file = Some file }
+    | None ->
+      let* ucs = load_benchmark ~name:bench ~use_cases ~seed in
+      let spec = DF.spec_of_use_cases ~name:bench ucs in
+      Ok { name = spec.DF.name; text = Noc_core.Spec_parser.to_text spec; file = None }
+  in
+  Term.(const resolve $ bench_arg_at pos $ use_cases_arg $ seed_arg $ spec_arg)
 
-let refine_arg =
-  let doc = "Run the simulated-annealing placement refinement after mapping." in
-  Arg.(value & flag & info [ "refine" ] ~doc)
+(* --- config: the request's design knobs -------------------------------------- *)
+
+let config_term =
+  let d = Protocol.default_config in
+  let freq =
+    let doc = "NoC operating frequency, MHz." in
+    Arg.(value & opt float d.Protocol.freq_mhz & info [ "freq"; "f" ] ~docv:"MHZ" ~doc)
+  in
+  let slots =
+    let doc = "TDMA slot-table size." in
+    Arg.(value & opt int d.Protocol.slots & info [ "slots" ] ~docv:"SLOTS" ~doc)
+  in
+  let nis =
+    let doc = "Maximum NIs (cores) per switch." in
+    Arg.(value & opt int d.Protocol.nis_per_switch & info [ "nis-per-switch" ] ~docv:"N" ~doc)
+  in
+  let xy =
+    let doc = "Use dimension-ordered (XY) routing instead of min-cost path search." in
+    Arg.(value & flag & info [ "xy" ] ~doc)
+  in
+  let make freq_mhz slots nis_per_switch xy = { Protocol.freq_mhz; slots; nis_per_switch; xy } in
+  Term.(const make $ freq $ slots $ nis $ xy)
+
+(* --- process: pool, cache and observability ----------------------------------- *)
 
 let jobs_arg =
   let doc =
@@ -77,12 +123,6 @@ let jobs_arg =
      fan-out).  Defaults to the machine's recommended domain count."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let apply_jobs = function
-  | None -> ()
-  | Some j ->
-    if j < 1 then invalid_arg "--jobs must be >= 1";
-    Noc_util.Domain_pool.set_default_jobs j
 
 let cache_dir_arg =
   let doc =
@@ -99,12 +139,6 @@ let no_cache_arg =
      either way; this is the honest-timing / debugging escape hatch."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let apply_cache no_cache cache_dir =
-  if no_cache then Noc_core.Mapping_cache.set_enabled false
-  else Option.iter (fun d -> Noc_core.Mapping_cache.set_dir (Some d)) cache_dir
-
-(* --- observability -------------------------------------------------------- *)
 
 module Tracer = Noc_obs.Tracer
 module Metrics = Noc_obs.Metrics
@@ -124,24 +158,74 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-(* Files are written from [at_exit] so a command that [exit]s early (lint's
-   diagnostic exit codes, a cmdliner error path) still flushes what it saw. *)
-let apply_obs trace metrics =
-  if trace <> None then Tracer.set_enabled true;
-  if trace <> None || metrics <> None then
-    at_exit (fun () ->
-        (match trace with
-        | Some file ->
-          Tracer.write_file file (Tracer.export_chrome ());
-          Printf.eprintf "trace: %d spans written to %s\n%!"
-            (List.length (Tracer.events ()))
-            file
-        | None -> ());
-        match metrics with
-        | Some file ->
-          Tracer.write_file file (Metrics.render_json (Metrics.snapshot ()));
-          Printf.eprintf "metrics: snapshot written to %s\n%!" file
-        | None -> ())
+(* [--jobs], the cache flags and [--trace]/[--metrics], applied once
+   before the command body runs.  [~jobs:false]/[~cache:false] leave
+   the flags off commands that have never offered them.  Files are
+   written from [at_exit] so a command that [exit]s early (lint's
+   diagnostic exit codes, a cmdliner error path) still flushes what it
+   saw. *)
+let process_term ?(jobs = true) ?(cache = true) () =
+  let apply jobs no_cache cache_dir trace metrics =
+    Option.iter
+      (fun j ->
+        if j < 1 then invalid_arg "--jobs must be >= 1";
+        Noc_util.Domain_pool.set_default_jobs j)
+      jobs;
+    if no_cache then Noc_core.Mapping_cache.set_enabled false
+    else Option.iter (fun d -> Noc_core.Mapping_cache.set_dir (Some d)) cache_dir;
+    if trace <> None then Tracer.set_enabled true;
+    if trace <> None || metrics <> None then
+      at_exit (fun () ->
+          (match trace with
+          | Some file ->
+            Tracer.write_file file (Tracer.export_chrome ());
+            Printf.eprintf "trace: %d spans written to %s\n%!"
+              (List.length (Tracer.events ()))
+              file
+          | None -> ());
+          match metrics with
+          | Some file ->
+            Tracer.write_file file (Metrics.render_json (Metrics.snapshot ()));
+            Printf.eprintf "metrics: snapshot written to %s\n%!" file
+          | None -> ())
+  in
+  let off = Term.const None in
+  Term.(
+    const apply
+    $ (if jobs then jobs_arg else off)
+    $ (if cache then no_cache_arg else const false)
+    $ (if cache then cache_dir_arg else off)
+    $ trace_arg $ metrics_arg)
+
+(* --- running an op ---------------------------------------------------------- *)
+
+(* The op of a single-spec request, built the same way for a one-shot
+   command and for [client]. *)
+let spec_op ?(deep = false) ?(torus = false) kind config { name; text = spec; _ } =
+  match kind with
+  | `Map -> Protocol.Map { name; spec; config }
+  | `Explore ->
+    Protocol.Explore { name; spec; config; frequencies = None; slot_counts = None; torus }
+  | `Lint -> Protocol.Lint { name; spec; config; deep }
+  | `Certify -> Protocol.Certify { name; spec; config }
+
+let remap_op config from_file to_file =
+  let* from_name, from_spec = read_spec from_file in
+  let* to_name, to_spec = read_spec to_file in
+  Ok (Protocol.Remap { from_name; from_spec; to_name; to_spec; config })
+
+(* Prepare an op for an in-process [Service.run]; a spec error names
+   the file it came from. *)
+let prepare ?file op =
+  Result.map_error
+    (fun (_, msg) -> match file with Some f -> f ^ ": " ^ msg | None -> msg)
+    (Service.prepare op)
+
+(* --- engine and output flags ---------------------------------------------------- *)
+
+let refine_arg =
+  let doc = "Run the simulated-annealing placement refinement after mapping." in
+  Arg.(value & flag & info [ "refine" ] ~doc)
 
 let sequential_arg =
   let doc =
@@ -165,60 +249,9 @@ let systemc_arg =
   let doc = "Write the generated SystemC model to $(docv)." in
   Arg.(value & opt (some string) None & info [ "systemc" ] ~docv:"FILE" ~doc)
 
-let spec_arg =
-  let doc = "Read the design from a spec file instead of a named benchmark (see Noc_core.Spec_parser for the format)." in
-  Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
-
 let vhdl_arg =
   let doc = "Write the generated structural VHDL to $(docv)." in
   Arg.(value & opt (some string) None & info [ "vhdl" ] ~docv:"FILE" ~doc)
-
-let make_config ~freq ~slots ~nis ~xy =
-  {
-    Config.default with
-    freq_mhz = freq;
-    slots;
-    nis_per_switch = nis;
-    routing = (if xy then Config.Xy else Config.Min_cost);
-  }
-
-(* --- map -------------------------------------------------------------------- *)
-
-let print_design name mapping verified =
-  Format.printf "design %s: mapped onto %a (%d switches in use)@." name Mesh.pp
-    mapping.Mapping.mesh
-    (Mapping.switches_in_use mapping);
-  Format.printf "verification: %s@." (if verified then "OK" else "FAILED");
-  Format.printf "area: %a, power: %.1f mW@." Noc_util.Units.pp_area
-    (Noc_power.Area_model.noc_area mapping)
-    (Noc_power.Power_model.noc_power mapping).Noc_power.Power_model.total_mw
-
-let emit_vhdl path name mapping =
-  match path with
-  | None -> `Ok ()
-  | Some file ->
-    let text = Noc_rtl.Netlist.generate ~design_name:name mapping in
-    (match Noc_rtl.Wellformed.check text with
-    | Ok () ->
-      Out_channel.with_open_text file (fun oc -> output_string oc text);
-      Format.printf "VHDL written to %s (%d bytes, lint clean)@." file (String.length text);
-      `Ok ()
-    | Error issues ->
-      `Error (false, Printf.sprintf "generated VHDL failed lint (%d issues)" (List.length issues)))
-
-let emit_systemc path name mapping =
-  match path with
-  | None -> `Ok ()
-  | Some file ->
-    let text = Noc_rtl.Systemc.generate ~design_name:name mapping in
-    (match Noc_rtl.Systemc.check text with
-    | Ok () ->
-      Out_channel.with_open_text file (fun oc -> output_string oc text);
-      Format.printf "SystemC written to %s (%d bytes, lint clean)@." file (String.length text);
-      `Ok ()
-    | Error issues ->
-      `Error
-        (false, Printf.sprintf "generated SystemC failed lint (%d issues)" (List.length issues)))
 
 let dump_arg =
   let doc =
@@ -234,16 +267,40 @@ let certify_flag_arg =
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
+(* --- map -------------------------------------------------------------------- *)
+
+let print_design name mapping verified =
+  Format.printf "design %s: mapped onto %a (%d switches in use)@." name Mesh.pp
+    mapping.Mapping.mesh
+    (Mapping.switches_in_use mapping);
+  Format.printf "verification: %s@." (if verified then "OK" else "FAILED");
+  Format.printf "area: %a, power: %.1f mW@." Noc_util.Units.pp_area
+    (Noc_power.Area_model.noc_area mapping)
+    (Noc_power.Power_model.noc_power mapping).Noc_power.Power_model.total_mw
+
+let emit_rtl what ~generate ~check path name mapping =
+  match path with
+  | None -> Ok ()
+  | Some file -> (
+    let text = generate ~design_name:name mapping in
+    match check text with
+    | Ok () ->
+      write_file file text;
+      Format.printf "%s written to %s (%d bytes, lint clean)@." what file (String.length text);
+      Ok ()
+    | Error issues ->
+      Error (Printf.sprintf "generated %s failed lint (%d issues)" what (List.length issues)))
+
 let emit_dump path mapping =
   match path with
-  | None -> `Ok ()
-  | Some file ->
-    (match Noc_core.Mapping_codec.encode mapping with
+  | None -> Ok ()
+  | Some file -> (
+    match Noc_core.Mapping_codec.encode mapping with
     | Some text ->
-      Out_channel.with_open_text file (fun oc -> output_string oc text);
+      write_file file text;
       Format.printf "mapping dump written to %s (%d bytes)@." file (String.length text);
-      `Ok ()
-    | None -> `Error (false, "this mapping cannot be encoded (mesh carries express channels)"))
+      Ok ()
+    | None -> Error "this mapping cannot be encoded (mesh carries express channels)")
 
 let map_json_arg =
   let doc =
@@ -252,66 +309,54 @@ let map_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let certify_design name (d : DF.t) =
+let certify_design (d : DF.t) =
   let module C = Noc_analysis.Certify in
-  let cert = C.certify ~name d.DF.mapping d.DF.all_use_cases in
+  let cert = C.certify ~name:d.DF.spec.DF.name d.DF.mapping d.DF.all_use_cases in
   print_string (C.render_text cert);
   if C.clean cert then Ok ()
-  else
-    Error
-      (Printf.sprintf "certificate rejected (%d findings)"
-         (List.length cert.C.findings))
+  else Error (Printf.sprintf "certificate rejected (%d findings)" (List.length cert.C.findings))
 
-let load_spec ~bench ~use_cases ~seed ~spec_file =
-  match spec_file with
-  | Some file -> (
-    match Noc_core.Spec_parser.parse_file file with
-    | Ok spec -> Ok spec
-    | Error e -> Error (Format.asprintf "%s: %a" file Noc_core.Spec_parser.pp_error e))
-  | None -> (
-    match load_benchmark ~name:bench ~use_cases ~seed with
-    | Ok ucs -> Ok (DF.spec_of_use_cases ~name:bench ucs)
-    | Error msg -> Error msg)
-
-let run_map bench use_cases seed freq slots nis xy refine sequential wc no_prune jobs vhdl
-    systemc dump certify json spec_file no_cache cache_dir trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  match load_spec ~bench ~use_cases ~seed ~spec_file with
-  | Error msg -> `Error (false, msg)
-  | Ok spec -> (
-    let emits m =
-      match emit_vhdl vhdl spec.DF.name m with
-      | `Ok () -> (
-        match emit_systemc systemc spec.DF.name m with `Ok () -> emit_dump dump m | e -> e)
-      | e -> e
+let run_map () input config refine sequential wc no_prune vhdl systemc dump certify json =
+  ret_of
+  @@
+  let* input = input in
+  let* job = prepare ?file:input.file (spec_op `Map config input) in
+  let emits name m =
+    let* () =
+      emit_rtl "VHDL" ~generate:Noc_rtl.Netlist.generate ~check:Noc_rtl.Wellformed.check vhdl
+        name m
     in
-    let config = make_config ~freq ~slots ~nis ~xy in
-    let parallel = not sequential in
-    if wc then
-      if certify then `Error (false, "--certify applies to the multi-use-case flow, not --wc")
-      else if json <> None then
-        `Error (false, "--json applies to the multi-use-case flow, not --wc")
-      else
-        match WC.map_design ~config ~parallel spec.DF.use_cases with
-        | Error failure -> `Error (false, Format.asprintf "%a" Mapping.pp_failure failure)
-        | Ok m ->
-          print_design (spec.DF.name ^ " (WC method)") m true;
-          emits m
+    let* () =
+      emit_rtl "SystemC" ~generate:Noc_rtl.Systemc.generate ~check:Noc_rtl.Systemc.check systemc
+        name m
+    in
+    emit_dump dump m
+  in
+  let parallel = not sequential in
+  match Service.spec job with
+  | Some spec when wc -> (
+    if certify then Error "--certify applies to the multi-use-case flow, not --wc"
+    else if json <> None then Error "--json applies to the multi-use-case flow, not --wc"
     else
-      let post = if certify then Some (certify_design spec.DF.name) else None in
-      match DF.run ~config ~parallel ~prune:(not no_prune) ~refine ?post spec with
-      | Error msg -> `Error (false, msg)
-      | Ok d ->
-        print_design spec.DF.name d.DF.mapping (DF.verified d);
-        (match json with
-        | Some file ->
-          Out_channel.with_open_text file (fun oc ->
-              output_string oc (Noc_serve.Payload.design d));
-          Format.printf "wrote %s@." file
-        | None -> ());
-        emits d.DF.mapping)
+      match WC.map_design ~config:(Protocol.to_noc_config config) ~parallel spec.DF.use_cases with
+      | Error failure -> Error (Format.asprintf "%a" Mapping.pp_failure failure)
+      | Ok m ->
+        print_design (spec.DF.name ^ " (WC method)") m true;
+        emits spec.DF.name m)
+  | _ -> (
+    let post = if certify then Some certify_design else None in
+    match Service.run ~parallel ~prune:(not no_prune) ~refine ?post job with
+    | Error msg -> Error msg
+    | Ok (Payload.Design d as outcome) ->
+      let name = d.DF.spec.DF.name in
+      print_design name d.DF.mapping (DF.verified d);
+      Option.iter
+        (fun file ->
+          write_file file (Payload.render outcome);
+          Format.printf "wrote %s@." file)
+        json;
+      emits name d.DF.mapping
+    | Ok _ -> assert false)
 
 let map_cmd =
   let doc = "Design the smallest NoC satisfying every use-case of a benchmark." in
@@ -319,10 +364,9 @@ let map_cmd =
     (Cmd.info "map" ~doc)
     Term.(
       ret
-        (const run_map $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg $ nis_arg
-        $ xy_arg $ refine_arg $ sequential_arg $ wc_arg $ no_prune_arg $ jobs_arg $ vhdl_arg
-        $ systemc_arg $ dump_arg $ certify_flag_arg $ map_json_arg $ spec_arg $ no_cache_arg
-        $ cache_dir_arg $ trace_arg $ metrics_arg))
+        (const run_map $ process_term () $ input_term () $ config_term $ refine_arg
+       $ sequential_arg $ wc_arg $ no_prune_arg $ vhdl_arg $ systemc_arg $ dump_arg
+       $ certify_flag_arg $ map_json_arg))
 
 (* --- experiments -------------------------------------------------------------- *)
 
@@ -330,10 +374,7 @@ let experiments_arg =
   let doc = "Which experiment to run: all, fig6a, fig6b, fig6c, s62, fig7a, fig7b, fig7c, ablations." in
   Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
 
-let run_experiments which jobs no_cache cache_dir trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
+let run_experiments () which =
   let module E = Noc_benchkit.Experiments in
   match String.lowercase_ascii which with
   | "all" ->
@@ -343,31 +384,27 @@ let run_experiments which jobs no_cache cache_dir trace metrics =
   | "ablations" ->
     Noc_benchkit.Ablations.print_all ();
     `Ok ()
-  | one -> (
-    match E.print_one one with Ok () -> `Ok () | Error msg -> `Error (false, msg))
+  | one -> ret_of (E.print_one one)
 
 let experiments_cmd =
   let doc = "Regenerate the paper's evaluation figures (Fig 6a-c, Sec 6.2, Fig 7a-c)." in
   Cmd.v
     (Cmd.info "experiments" ~doc)
-    Term.(
-      ret
-        (const run_experiments $ experiments_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg
-       $ trace_arg $ metrics_arg))
+    Term.(ret (const run_experiments $ process_term () $ experiments_arg))
 
 (* --- generate ------------------------------------------------------------------- *)
 
 let run_generate bench use_cases seed =
-  match load_benchmark ~name:bench ~use_cases ~seed with
-  | Error msg -> `Error (false, msg)
-  | Ok ucs ->
-    Format.printf "%a@.@." Noc_traffic.Traffic_stats.pp (Noc_traffic.Traffic_stats.compute ucs);
-    List.iter
-      (fun u ->
-        Format.printf "%a@." Use_case.pp u;
-        List.iter (fun f -> Format.printf "  %a@." Noc_traffic.Flow.pp f) u.Use_case.flows)
-      ucs;
-    `Ok ()
+  ret_of
+  @@
+  let* ucs = load_benchmark ~name:bench ~use_cases ~seed in
+  Format.printf "%a@.@." Noc_traffic.Traffic_stats.pp (Noc_traffic.Traffic_stats.compute ucs);
+  List.iter
+    (fun u ->
+      Format.printf "%a@." Use_case.pp u;
+      List.iter (fun f -> Format.printf "  %a@." Noc_traffic.Flow.pp f) u.Use_case.flows)
+    ucs;
+  Ok ()
 
 let generate_cmd =
   let doc = "Print the traffic description of a benchmark." in
@@ -376,6 +413,15 @@ let generate_cmd =
     Term.(ret (const run_generate $ bench_arg $ use_cases_arg $ seed_arg))
 
 (* --- simulate ------------------------------------------------------------------- *)
+
+(* The designed NoC simulate and report start from: a local map op. *)
+let design_of input config =
+  let* input = input in
+  let* job = prepare ?file:input.file (spec_op `Map config input) in
+  match Service.run job with
+  | Ok (Payload.Design d) -> Ok d
+  | Ok _ -> assert false
+  | Error msg -> Error msg
 
 let duration_arg =
   let doc = "Simulation length in TDMA slots." in
@@ -423,39 +469,33 @@ let write_sim_json path results =
   Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map one results));
   close_out oc
 
-let run_simulate bench use_cases seed freq slots nis xy duration reference_sim sim_json
-    spec_file no_cache cache_dir trace metrics =
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  match load_spec ~bench ~use_cases ~seed ~spec_file with
-  | Error msg -> `Error (false, msg)
-  | Ok spec -> (
-    let config = make_config ~freq ~slots ~nis ~xy in
-    match DF.run ~config spec with
-    | Error msg -> `Error (false, msg)
-    | Ok d ->
-      let m = d.DF.mapping in
-      let core = if reference_sim then `Reference else `Event in
-      Format.printf "%a@.@." DF.pp_summary d;
-      let results =
-        List.map
-          (fun u ->
-            let routes = Mapping.routes_of_use_case m u.Use_case.id in
-            let res =
-              Tracer.with_span ~cat:"sim"
-                ~args:[ ("use_case", Tracer.Str u.Use_case.name) ]
-                "simulate:use_case"
-                (fun () ->
-                  Sim.simulate_with ~core ~sources:[] ~config ~routes ~duration_slots:duration)
-            in
-            Format.printf "%s: %s (%d connections, %d collisions)@." u.Use_case.name
-              (if Sim.within_contract res then "contracts met" else "CONTRACT VIOLATION")
-              (List.length res.Sim.conns) res.Sim.collisions;
-            (u.Use_case.name, res))
-          d.DF.all_use_cases
-      in
-      Option.iter (fun path -> write_sim_json path results) sim_json;
-      `Ok ())
+let run_simulate () input config duration reference_sim sim_json =
+  ret_of
+  @@
+  let* d = design_of input config in
+  let m = d.DF.mapping in
+  let config = Protocol.to_noc_config config in
+  let core = if reference_sim then `Reference else `Event in
+  Format.printf "%a@.@." DF.pp_summary d;
+  let results =
+    List.map
+      (fun u ->
+        let routes = Mapping.routes_of_use_case m u.Use_case.id in
+        let res =
+          Tracer.with_span ~cat:"sim"
+            ~args:[ ("use_case", Tracer.Str u.Use_case.name) ]
+            "simulate:use_case"
+            (fun () ->
+              Sim.simulate_with ~core ~sources:[] ~config ~routes ~duration_slots:duration)
+        in
+        Format.printf "%s: %s (%d connections, %d collisions)@." u.Use_case.name
+          (if Sim.within_contract res then "contracts met" else "CONTRACT VIOLATION")
+          (List.length res.Sim.conns) res.Sim.collisions;
+        (u.Use_case.name, res))
+      d.DF.all_use_cases
+  in
+  Option.iter (fun path -> write_sim_json path results) sim_json;
+  Ok ()
 
 let simulate_cmd =
   let doc = "Design a NoC, then simulate every use-case configuration slot by slot." in
@@ -463,9 +503,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       ret
-        (const run_simulate $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg
-       $ nis_arg $ xy_arg $ duration_arg $ reference_sim_arg $ sim_json_arg $ spec_arg
-       $ no_cache_arg $ cache_dir_arg $ trace_arg $ metrics_arg))
+        (const run_simulate $ process_term ~jobs:false () $ input_term () $ config_term
+       $ duration_arg $ reference_sim_arg $ sim_json_arg))
 
 (* --- export ------------------------------------------------------------------------ *)
 
@@ -481,36 +520,28 @@ let dot_uc_arg =
   let doc = "Write use-case $(docv)'s configuration heat map as DOT to FILE.dot." in
   Arg.(value & opt (some int) None & info [ "dot-use-case" ] ~docv:"UC" ~doc)
 
-let run_export bench use_cases seed freq slots nis xy json dot dot_uc no_cache cache_dir trace
-    metrics =
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  match load_benchmark ~name:bench ~use_cases ~seed with
-  | Error msg -> `Error (false, msg)
-  | Ok ucs -> (
-    let config = make_config ~freq ~slots ~nis ~xy in
-    match DF.run ~config (DF.spec_of_use_cases ~name:bench ucs) with
-    | Error msg -> `Error (false, msg)
-    | Ok d ->
-      let write file text =
-        Out_channel.with_open_text file (fun oc -> output_string oc text);
-        Format.printf "wrote %s (%d bytes)@." file (String.length text)
-      in
-      (match json with
-      | Some file -> write file (Noc_export.Design_export.design_to_string d)
-      | None -> ());
-      (match dot with
-      | Some file -> write file (Noc_export.Dot.topology d.DF.mapping)
-      | None -> ());
-      (match dot_uc with
-      | Some uc ->
-        write
-          (Printf.sprintf "%s_uc%d.dot" bench uc)
-          (Noc_export.Dot.use_case d.DF.mapping ~use_case:uc)
-      | None -> ());
-      if json = None && dot = None && dot_uc = None then
-        print_endline (Noc_export.Design_export.design_to_string d);
-      `Ok ())
+let run_export () bench use_cases seed config json dot dot_uc =
+  ret_of
+  @@
+  let* ucs = load_benchmark ~name:bench ~use_cases ~seed in
+  let* d =
+    DF.run ~config:(Protocol.to_noc_config config) (DF.spec_of_use_cases ~name:bench ucs)
+  in
+  let write file text =
+    write_file file text;
+    Format.printf "wrote %s (%d bytes)@." file (String.length text)
+  in
+  Option.iter (fun file -> write file (Noc_export.Design_export.design_to_string d)) json;
+  Option.iter (fun file -> write file (Noc_export.Dot.topology d.DF.mapping)) dot;
+  Option.iter
+    (fun uc ->
+      write
+        (Printf.sprintf "%s_uc%d.dot" bench uc)
+        (Noc_export.Dot.use_case d.DF.mapping ~use_case:uc))
+    dot_uc;
+  if json = None && dot = None && dot_uc = None then
+    print_endline (Noc_export.Design_export.design_to_string d);
+  Ok ()
 
 let export_cmd =
   let doc = "Design a NoC and export it as JSON and/or Graphviz DOT." in
@@ -518,9 +549,8 @@ let export_cmd =
     (Cmd.info "export" ~doc)
     Term.(
       ret
-        (const run_export $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg $ nis_arg
-       $ xy_arg $ json_arg $ dot_arg $ dot_uc_arg $ no_cache_arg $ cache_dir_arg $ trace_arg
-       $ metrics_arg))
+        (const run_export $ process_term ~jobs:false () $ bench_arg $ use_cases_arg $ seed_arg
+       $ config_term $ json_arg $ dot_arg $ dot_uc_arg))
 
 (* --- explore ------------------------------------------------------------------------ *)
 
@@ -543,49 +573,21 @@ let explore_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-(* The rendering lives in [Noc_serve.Payload] so a served explore
-   response and this file are byte-identical by construction. *)
-let points_to_json = Noc_serve.Payload.points
-
-let run_explore bench use_cases seed torus cold no_prune jobs json spec_file no_cache cache_dir
-    trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  let problem =
-    match spec_file with
-    | Some _ -> (
-      (* A spec file may declare compound use-cases and flow groups; expand
-         it the same way the design flow does so the sweep sees them. *)
-      match load_spec ~bench ~use_cases ~seed ~spec_file with
-      | Ok spec ->
-        let all, _compounds, groups = DF.expand spec in
-        Ok (all, groups)
-      | Error msg -> Error msg)
-    | None -> (
-      match load_benchmark ~name:bench ~use_cases ~seed with
-      | Ok ucs -> Ok (ucs, List.mapi (fun i _ -> [ i ]) ucs)
-      | Error msg -> Error msg)
-  in
-  match problem with
-  | Error msg -> `Error (false, msg)
-  | Ok (ucs, groups) ->
-    let axes =
-      let base = Noc_power.Design_space.default_axes in
-      if torus then
-        { base with Noc_power.Design_space.topologies = [ Mesh.Mesh; Mesh.Torus ] }
-      else base
-    in
-    let points =
-      Noc_power.Design_space.explore ~axes ~warm:(not cold) ~prune:(not no_prune)
-        ~config:Config.default ~groups ucs
-    in
+let run_explore () input torus cold no_prune json =
+  ret_of
+  @@
+  let* input = input in
+  let* job = prepare ?file:input.file (spec_op ~torus `Explore Protocol.default_config input) in
+  match Service.run ~warm:(not cold) ~prune:(not no_prune) job with
+  | Error msg -> Error msg
+  | Ok (Payload.Points points as outcome) ->
     (match json with
     | Some file ->
-      Out_channel.with_open_text file (fun oc -> output_string oc (points_to_json points));
+      write_file file (Payload.render outcome);
       Format.printf "wrote %s (%d points)@." file (List.length points)
     | None -> Noc_power.Design_space.print points);
-    `Ok ()
+    Ok ()
+  | Ok _ -> assert false
 
 let explore_cmd =
   let doc = "Explore the (frequency x slot-table x topology) design space and mark the Pareto front." in
@@ -593,33 +595,23 @@ let explore_cmd =
     (Cmd.info "explore" ~doc)
     Term.(
       ret
-        (const run_explore $ bench_arg $ use_cases_arg $ seed_arg $ torus_axis_arg $ cold_arg
-       $ no_prune_arg $ jobs_arg $ explore_json_arg $ spec_arg $ no_cache_arg $ cache_dir_arg
-       $ trace_arg $ metrics_arg))
+        (const run_explore $ process_term () $ input_term () $ torus_axis_arg $ cold_arg
+       $ no_prune_arg $ explore_json_arg))
 
 (* --- report ------------------------------------------------------------------------ *)
 
-let run_report bench use_cases seed freq slots nis xy spec_file no_cache cache_dir trace metrics =
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  match load_spec ~bench ~use_cases ~seed ~spec_file with
-  | Error msg -> `Error (false, msg)
-  | Ok spec -> (
-    let config = make_config ~freq ~slots ~nis ~xy in
-    match DF.run ~config spec with
-    | Error msg -> `Error (false, msg)
-    | Ok d ->
-      Noc_report.Design_report.print (Noc_report.Design_report.build d);
-      `Ok ())
+let run_report () input config =
+  ret_of
+  @@
+  let* d = design_of input config in
+  Noc_report.Design_report.print (Noc_report.Design_report.build d);
+  Ok ()
 
 let report_cmd =
   let doc = "Design a NoC and print the full analytic report (guarantees, slacks, utilization, buffers, switching costs)." in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(
-      ret
-        (const run_report $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg $ nis_arg
-       $ xy_arg $ spec_arg $ no_cache_arg $ cache_dir_arg $ trace_arg $ metrics_arg))
+    Term.(ret (const run_report $ process_term ~jobs:false () $ input_term () $ config_term))
 
 (* --- lint ------------------------------------------------------------------------ *)
 
@@ -631,32 +623,18 @@ let deep_arg =
   let doc = "Also run the full design flow and the post-mapping design passes." in
   Arg.(value & flag & info [ "deep" ] ~doc)
 
-let run_lint bench use_cases seed freq slots nis xy json deep jobs spec_file trace metrics =
-  apply_jobs jobs;
-  apply_obs trace metrics;
-  let config = make_config ~freq ~slots ~nis ~xy in
-  let doc_res =
-    match spec_file with
-    | Some file -> (
-      match Noc_core.Spec_parser.doc_of_file file with
-      | Ok doc -> Ok doc
-      | Error e -> Error (Format.asprintf "%s: %a" file Noc_core.Spec_parser.pp_error e))
-    | None -> (
-      match load_benchmark ~name:bench ~use_cases ~seed with
-      | Ok ucs ->
-        let spec = DF.spec_of_use_cases ~name:bench ucs in
-        Ok
-          (Noc_core.Spec_parser.parse_doc ~name:spec.DF.name
-             (Noc_core.Spec_parser.to_text spec))
-      | Error msg -> Error msg)
-  in
-  match doc_res with
-  | Error msg -> `Error (false, msg)
-  | Ok doc ->
-    let report = Noc_analysis.Analyzer.analyze_doc ~config ~deep doc in
-    if json then print_endline (Noc_analysis.Analyzer.render_json report)
-    else print_string (Noc_analysis.Analyzer.render_text report);
-    (match Noc_analysis.Analyzer.exit_code report with 0 -> `Ok () | n -> exit n)
+let run_lint () input config json deep =
+  ret_of
+  @@
+  let* input = input in
+  let* job = prepare ?file:input.file (spec_op ~deep `Lint config input) in
+  match Service.run job with
+  | Error msg -> Error msg
+  | Ok (Payload.Lint report as outcome) -> (
+    print_string
+      (if json then Payload.render outcome else Noc_analysis.Analyzer.render_text report);
+    match Noc_analysis.Analyzer.exit_code report with 0 -> Ok () | n -> exit n)
+  | Ok _ -> assert false
 
 let lint_cmd =
   let doc =
@@ -668,8 +646,8 @@ let lint_cmd =
     (Cmd.info "lint" ~doc)
     Term.(
       ret
-        (const run_lint $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg $ nis_arg
-       $ xy_arg $ lint_json_arg $ deep_arg $ jobs_arg $ spec_arg $ trace_arg $ metrics_arg))
+        (const run_lint $ process_term ~cache:false () $ input_term () $ config_term
+       $ lint_json_arg $ deep_arg))
 
 (* --- certify --------------------------------------------------------------------- *)
 
@@ -685,39 +663,30 @@ let certify_from_arg =
   in
   Arg.(value & opt (some string) None & info [ "from" ] ~docv:"DUMP" ~doc)
 
-let run_certify bench use_cases seed freq slots nis xy json from jobs spec_file no_cache
-    cache_dir trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  match load_spec ~bench ~use_cases ~seed ~spec_file with
-  | Error msg -> `Error (false, msg)
-  | Ok spec -> (
-    let module C = Noc_analysis.Certify in
-    let finish cert =
-      if json then print_endline (Noc_export.Json.to_string ~indent:2 (C.to_json cert))
-      else print_string (C.render_text cert);
-      match C.exit_code cert with 0 -> `Ok () | n -> exit n
+let run_certify () input config json from =
+  let module C = Noc_analysis.Certify in
+  ret_of
+  @@
+  let* input = input in
+  let* job = prepare ?file:input.file (spec_op `Certify config input) in
+  let finish cert =
+    print_string
+      (if json then Payload.render (Payload.Certificate cert) else C.render_text cert);
+    match C.exit_code cert with 0 -> Ok () | n -> exit n
+  in
+  match (from, Service.spec job) with
+  | Some file, Some spec ->
+    let* text = read_file file in
+    let* mapping =
+      Result.map_error (Printf.sprintf "%s: %s" file) (Noc_core.Mapping_codec.decode text)
     in
-    match from with
-    | Some file -> (
-      let text =
-        try Ok (In_channel.with_open_bin file In_channel.input_all)
-        with Sys_error msg -> Error msg
-      in
-      match text with
-      | Error msg -> `Error (false, msg)
-      | Ok text -> (
-        match Noc_core.Mapping_codec.decode text with
-        | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-        | Ok mapping ->
-          let all, _, _ = DF.expand spec in
-          finish (C.certify ~name:spec.DF.name mapping all)))
-    | None -> (
-      let config = make_config ~freq ~slots ~nis ~xy in
-      match DF.run ~config spec with
-      | Error msg -> `Error (false, msg)
-      | Ok d -> finish (C.certify ~name:spec.DF.name d.DF.mapping d.DF.all_use_cases)))
+    let all, _, _ = DF.expand spec in
+    finish (C.certify ~name:spec.DF.name mapping all)
+  | _ -> (
+    match Service.run job with
+    | Error msg -> Error msg
+    | Ok (Payload.Certificate cert) -> finish cert
+    | Ok _ -> assert false)
 
 let certify_cmd =
   let doc =
@@ -730,9 +699,8 @@ let certify_cmd =
     (Cmd.info "certify" ~doc)
     Term.(
       ret
-        (const run_certify $ bench_arg $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg
-       $ nis_arg $ xy_arg $ certify_json_arg $ certify_from_arg $ jobs_arg $ spec_arg
-       $ no_cache_arg $ cache_dir_arg $ trace_arg $ metrics_arg))
+        (const run_certify $ process_term () $ input_term () $ config_term $ certify_json_arg
+       $ certify_from_arg))
 
 (* --- cache ------------------------------------------------------------------------ *)
 
@@ -820,58 +788,39 @@ let remap_json_arg =
   let doc = "Write the remapped design as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let run_remap from_file to_file reference freq slots nis xy sequential no_prune jobs json dump
-    certify no_cache cache_dir trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
-  let parse file =
-    match Noc_core.Spec_parser.parse_file file with
-    | Ok spec -> Ok spec
-    | Error e -> Error (Format.asprintf "%s: %a" file Noc_core.Spec_parser.pp_error e)
-  in
-  match (parse from_file, parse to_file) with
-  | Error msg, _ | _, Error msg -> `Error (false, msg)
-  | Ok old_spec, Ok new_spec -> (
-    let config = make_config ~freq ~slots ~nis ~xy in
-    let parallel = not sequential and prune = not no_prune in
-    match DF.run ~config ~parallel ~prune old_spec with
-    | Error msg -> `Error (false, msg)
-    | Ok old_design -> (
-      let mode = if reference then Noc_core.Remap.Reference else Noc_core.Remap.Incremental in
-      match Noc_core.Remap.remap ~config ~mode ~parallel ~prune ~old:old_design new_spec with
-      | Error msg -> `Error (false, msg)
-      | Ok o ->
-        let open Noc_core.Remap in
-        Format.printf "remap %s -> %s: %s@." old_spec.DF.name new_spec.DF.name
-          (match o.path with
-          | Reused -> "reused (no routing ran)"
-          | Delta n -> Printf.sprintf "delta (%d dirty group%s re-routed)" n (if n = 1 then "" else "s")
-          | Warm_placement -> "warm placement (whole problem re-routed on the old mesh)"
-          | Regrown -> "regrown (full growth search)");
-        Format.printf "groups: %d clean, %d dirty, %d removed@." (List.length o.delta.clean)
-          (List.length o.delta.dirty)
-          (List.length o.delta.removed);
-        print_design new_spec.DF.name o.design.DF.mapping (DF.verified o.design);
-        (match Noc_core.Mapping_codec.digest o.design.DF.mapping with
-        | Some d -> Format.printf "mapping digest: %s@." d
-        | None -> ());
-        (match json with
-        | Some file ->
-          Out_channel.with_open_text file (fun oc ->
-              output_string oc (Noc_export.Design_export.design_to_string o.design));
-          Format.printf "wrote %s@." file
-        | None -> ());
-        match emit_dump dump o.design.DF.mapping with
-        | `Ok () ->
-          (* Certify the stitched design as a whole — not just the dirty
-             groups the remapper re-routed. *)
-          if certify then
-            match certify_design new_spec.DF.name o.design with
-            | Ok () -> `Ok ()
-            | Error msg -> `Error (false, msg)
-          else `Ok ()
-        | e -> e))
+let run_remap () from_file to_file reference config sequential no_prune json dump certify =
+  let open Noc_core.Remap in
+  ret_of
+  @@
+  let* op = remap_op config from_file to_file in
+  let* job = prepare op in
+  match Service.run ~parallel:(not sequential) ~prune:(not no_prune) ~reference job with
+  | Error msg -> Error msg
+  | Ok (Payload.Remapped { old; remap = o } as outcome) ->
+    let design = o.design in
+    Format.printf "remap %s -> %s: %s@." old.DF.spec.DF.name design.DF.spec.DF.name
+      (match o.path with
+      | Reused -> "reused (no routing ran)"
+      | Delta n -> Printf.sprintf "delta (%d dirty group%s re-routed)" n (if n = 1 then "" else "s")
+      | Warm_placement -> "warm placement (whole problem re-routed on the old mesh)"
+      | Regrown -> "regrown (full growth search)");
+    Format.printf "groups: %d clean, %d dirty, %d removed@." (List.length o.delta.clean)
+      (List.length o.delta.dirty)
+      (List.length o.delta.removed);
+    print_design design.DF.spec.DF.name design.DF.mapping (DF.verified design);
+    Option.iter
+      (Format.printf "mapping digest: %s@.")
+      (Noc_core.Mapping_codec.digest design.DF.mapping);
+    Option.iter
+      (fun file ->
+        write_file file (Payload.render outcome);
+        Format.printf "wrote %s@." file)
+      json;
+    let* () = emit_dump dump design.DF.mapping in
+    (* Certify the stitched design as a whole — not just the dirty
+       groups the remapper re-routed. *)
+    if certify then certify_design design else Ok ()
+  | Ok _ -> assert false
 
 let remap_cmd =
   let doc =
@@ -883,13 +832,12 @@ let remap_cmd =
     (Cmd.info "remap" ~doc)
     Term.(
       ret
-        (const run_remap $ remap_from_arg $ remap_to_arg $ reference_arg $ freq_arg $ slots_arg
-       $ nis_arg $ xy_arg $ sequential_arg $ no_prune_arg $ jobs_arg $ remap_json_arg
-       $ dump_arg $ certify_flag_arg $ no_cache_arg $ cache_dir_arg $ trace_arg $ metrics_arg))
+        (const run_remap $ process_term () $ remap_from_arg $ remap_to_arg $ reference_arg
+       $ config_term $ sequential_arg $ no_prune_arg $ remap_json_arg $ dump_arg
+       $ certify_flag_arg))
 
 (* --- serve / client -------------------------------------------------------------- *)
 
-module Protocol = Noc_serve.Protocol
 module Server = Noc_serve.Server
 module Client = Noc_serve.Client
 
@@ -920,11 +868,7 @@ let retry_after_ms_arg =
   let doc = "Backoff hint attached to load-shed failures." in
   Arg.(value & opt int 50 & info [ "retry-after-ms" ] ~docv:"MS" ~doc)
 
-let run_serve socket max_queue max_inflight linger_ms retry_after_ms jobs no_cache cache_dir
-    trace metrics =
-  apply_jobs jobs;
-  apply_cache no_cache cache_dir;
-  apply_obs trace metrics;
+let run_serve () socket max_queue max_inflight linger_ms retry_after_ms =
   let cfg =
     {
       Server.socket_path = socket;
@@ -932,53 +876,30 @@ let run_serve socket max_queue max_inflight linger_ms retry_after_ms jobs no_cac
       max_inflight;
       linger_ms;
       retry_after_ms;
-      jobs = None;
       install_signals = true;
     }
   in
   Format.printf "nocmap serve: listening on %s (build %s)@." socket
     (Noc_util.Build_info.fingerprint ());
   Format.print_flush ();
-  match Server.run cfg with
-  | Ok () ->
-    Format.printf "nocmap serve: drained and stopped@.";
-    `Ok ()
-  | Error msg -> `Error (false, msg)
+  ret_of (Result.map (fun () -> Format.printf "nocmap serve: drained and stopped@.") (Server.run cfg))
 
 let serve_cmd =
   let doc =
     "Serve mapping requests over a Unix-domain socket: line-delimited JSON requests \
      ($(i,map), $(i,explore), $(i,lint), $(i,certify), $(i,remap)) from concurrent clients, \
      scheduled in batches onto the shared domain pool with single-flight coalescing of \
-     identical problems, merged explore grids, and admission control.  Responses are \
-     byte-identical to the one-shot CLI's outputs.  SIGTERM (or a $(i,shutdown) request) \
-     drains in-flight work, flushes the persistent cache tier and exits cleanly."
+     identical problems and admission control.  Each request runs the same Service path as \
+     the equivalent one-shot command, so responses are byte-identical to its output.  \
+     SIGTERM (or a $(i,shutdown) request) drains in-flight work, flushes the persistent cache \
+     tier and exits cleanly."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const run_serve $ socket_arg $ max_queue_arg $ max_inflight_arg $ linger_ms_arg
-       $ retry_after_ms_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg $ trace_arg $ metrics_arg))
-
-(* The client ships spec text, never a file path: a benchmark name
-   becomes its canonical [Spec_parser.to_text] rendering (which the
-   one-shot commands' spec path also parses), and [--spec FILE] ships
-   the raw bytes with [parse_file]'s fallback name — so the daemon
-   sees the exact problem the equivalent one-shot invocation sees and
-   responses compare byte for byte. *)
-let client_spec_text ~bench ~use_cases ~seed ~spec_file =
-  match spec_file with
-  | Some file -> (
-    try Ok (Filename.remove_extension (Filename.basename file),
-            In_channel.with_open_bin file In_channel.input_all)
-    with Sys_error msg -> Error msg)
-  | None -> (
-    match load_benchmark ~name:bench ~use_cases ~seed with
-    | Ok ucs ->
-      let spec = DF.spec_of_use_cases ~name:bench ucs in
-      Ok (spec.DF.name, Noc_core.Spec_parser.to_text spec)
-    | Error msg -> Error msg)
+        (const run_serve $ process_term () $ socket_arg $ max_queue_arg $ max_inflight_arg
+       $ linger_ms_arg $ retry_after_ms_arg))
 
 let client_action_arg =
   let doc =
@@ -996,10 +917,6 @@ let client_action_arg =
            ])
         `Ping
     & info [] ~docv:"ACTION" ~doc)
-
-let client_bench_arg =
-  let doc = "Benchmark for map/explore/lint/certify/bench (ignored with --spec)." in
-  Arg.(value & pos 1 string "example1" & info [] ~docv:"BENCHMARK" ~doc)
 
 let client_out_arg =
   let doc = "Write the response payload to $(docv) instead of stdout (exact bytes, cmp-able)." in
@@ -1029,77 +946,43 @@ let bench_op_arg =
         `Map
     & info [ "op" ] ~docv:"OP" ~doc)
 
-let run_client action socket bench use_cases seed freq slots nis xy deep torus from_file to_file
-    out connections repeat bench_op spec_file =
-  let config = { Protocol.freq_mhz = freq; slots; nis_per_switch = nis; xy } in
-  let spec_op kind =
-    match client_spec_text ~bench ~use_cases ~seed ~spec_file with
-    | Error msg -> Error msg
-    | Ok (name, spec) -> (
-      match kind with
-      | `Map -> Ok (Protocol.Map { name; spec; config })
-      | `Explore ->
-        Ok (Protocol.Explore { name; spec; config; frequencies = None; slot_counts = None; torus })
-      | `Lint -> Ok (Protocol.Lint { name; spec; config; deep })
-      | `Certify -> Ok (Protocol.Certify { name; spec; config }))
-  in
-  let op =
+let run_client action socket input config deep torus from_file to_file out connections repeat
+    bench_op =
+  ret_of
+  @@
+  let of_input kind = Result.map (spec_op ~deep ~torus kind config) input in
+  let* op =
     match action with
     | `Ping -> Ok Protocol.Ping
     | `Stats -> Ok Protocol.Stats
     | `Shutdown -> Ok Protocol.Shutdown
-    | (`Map | `Explore | `Lint | `Certify) as kind -> spec_op kind
+    | (`Map | `Explore | `Lint | `Certify) as kind -> of_input kind
+    | `Bench -> of_input bench_op
     | `Remap -> (
       match (from_file, to_file) with
-      | Some f, Some t -> (
-        let read file =
-          try Ok (Filename.remove_extension (Filename.basename file),
-                  In_channel.with_open_bin file In_channel.input_all)
-          with Sys_error msg -> Error msg
-        in
-        match (read f, read t) with
-        | Ok (from_name, from_spec), Ok (to_name, to_spec) ->
-          Ok (Protocol.Remap { from_name; from_spec; to_name; to_spec; config })
-        | Error msg, _ | _, Error msg -> Error msg)
+      | Some f, Some t -> remap_op config f t
       | _ -> Error "client remap requires --from and --to")
-    | `Bench -> spec_op bench_op
   in
-  match op with
-  | Error msg -> `Error (false, msg)
-  | Ok op -> (
-    match action with
-    | `Bench -> (
-      match Client.drive ~socket ~connections ~repeat [ op ] with
-      | Ok stats ->
-        print_endline (Client.stats_to_json stats);
-        `Ok ()
-      | Error msg -> `Error (false, msg))
-    | _ -> (
-      match Client.connect ~socket () with
-      | Error msg -> `Error (false, msg)
-      | Ok conn -> (
-        let finish r =
-          Client.close conn;
-          r
-        in
-        match Client.request conn op with
-        | Error msg -> finish (`Error (false, msg))
-        | Ok (Protocol.Failure { code; message; _ }) ->
-          finish
-            (`Error
-               (false,
-                Printf.sprintf "%s: %s" (Protocol.error_code_to_string code) message))
-        | Ok (Protocol.Result { payload; _ }) ->
-          (match out with
-          | Some file ->
-            Out_channel.with_open_text file (fun oc -> output_string oc payload);
-            Format.printf "wrote %s (%d bytes)@." file (String.length payload)
-          | None -> print_string payload);
-          finish (`Ok ()))))
-
-let client_spec_file_arg =
-  let doc = "Send the raw contents of $(docv) as the spec instead of a named benchmark." in
-  Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
+  match action with
+  | `Bench ->
+    let* stats = Client.drive ~socket ~connections ~repeat [ op ] in
+    print_endline (Client.stats_to_json stats);
+    Ok ()
+  | _ -> (
+    let* conn = Client.connect ~socket () in
+    let response = Client.request conn op in
+    Client.close conn;
+    match response with
+    | Error msg -> Error msg
+    | Ok (Protocol.Failure { code; message; _ }) ->
+      Error (Printf.sprintf "%s: %s" (Protocol.error_code_to_string code) message)
+    | Ok (Protocol.Result { payload; _ }) ->
+      (match out with
+      | Some file ->
+        write_file file payload;
+        Format.printf "wrote %s (%d bytes)@." file (String.length payload)
+      | None -> print_string payload);
+      Ok ())
 
 let client_cmd =
   let doc =
@@ -1111,65 +994,56 @@ let client_cmd =
     (Cmd.info "client" ~doc)
     Term.(
       ret
-        (const run_client $ client_action_arg $ socket_arg $ client_bench_arg
-       $ use_cases_arg $ seed_arg $ freq_arg $ slots_arg $ nis_arg $ xy_arg $ deep_arg
-       $ torus_axis_arg $ client_from_arg $ client_to_arg $ client_out_arg $ connections_arg
-       $ repeat_arg $ bench_op_arg $ client_spec_file_arg))
+        (const run_client $ client_action_arg $ socket_arg $ input_term ~pos:1 () $ config_term
+       $ deep_arg $ torus_axis_arg $ client_from_arg $ client_to_arg $ client_out_arg
+       $ connections_arg $ repeat_arg $ bench_op_arg))
 
 (* --- obs ------------------------------------------------------------------------- *)
 
 module J = Noc_export.Json
 
 let parse_json_file file =
-  match (try Ok (In_channel.with_open_bin file In_channel.input_all) with Sys_error msg -> Error msg)
-  with
-  | Error msg -> Error msg
-  | Ok text -> (
-    match J.parse text with
-    | Ok v -> Ok v
-    | Error msg -> Error (Printf.sprintf "%s: %s" file msg))
+  let* text = read_file file in
+  Result.map_error (Printf.sprintf "%s: %s" file) (J.parse text)
 
 (* Rebuild a [Metrics.snapshot] from a metrics JSON file, checking the
    schema as it goes — this is also the metrics half of [obs validate]:
    the three sections must be objects, counters non-negative integers,
    and each histogram's min <= p50 <= p90 <= p99 <= max when non-empty. *)
 let snapshot_of_json v =
-  let ( let* ) = Result.bind in
   let section name =
     match J.member name v with
     | Some (J.Obj fields) -> Ok fields
     | Some _ -> Error (Printf.sprintf "\"%s\" must be an object" name)
     | None -> Error (Printf.sprintf "missing \"%s\" object" name)
   in
-  let* counter_fields = section "counters" in
-  let* gauge_fields = section "gauges" in
-  let* histogram_fields = section "histograms" in
-  let* counters =
+  (* Check every field of a section, stopping at the first bad one. *)
+  let each name check =
+    let* fields = section name in
     List.fold_left
       (fun acc (n, x) ->
         let* acc = acc in
-        match x with
-        | J.Int i when i >= 0 -> Ok ((n, i) :: acc)
-        | _ -> Error (Printf.sprintf "counter \"%s\" must be a non-negative integer" n))
-      (Ok []) counter_fields
+        let* y = check n x in
+        Ok ((n, y) :: acc))
+      (Ok []) fields
+    |> Result.map List.rev
+  in
+  let* counters =
+    each "counters" (fun n -> function
+      | J.Int i when i >= 0 -> Ok i
+      | _ -> Error (Printf.sprintf "counter \"%s\" must be a non-negative integer" n))
   in
   let* gauges =
-    List.fold_left
-      (fun acc (n, x) ->
-        let* acc = acc in
-        match J.to_float x with
-        | Some f -> Ok ((n, f) :: acc)
-        | None -> Error (Printf.sprintf "gauge \"%s\" must be a number" n))
-      (Ok []) gauge_fields
+    each "gauges" (fun n x ->
+        Option.to_result (J.to_float x)
+          ~none:(Printf.sprintf "gauge \"%s\" must be a number" n))
   in
   let* histograms =
-    List.fold_left
-      (fun acc (n, x) ->
-        let* acc = acc in
+    each "histograms" (fun n x ->
         let field k =
-          match Option.bind (J.member k x) J.to_float with
-          | Some f -> Ok f
-          | None -> Error (Printf.sprintf "histogram \"%s\": missing numeric \"%s\"" n k)
+          Option.to_result
+            (Option.bind (J.member k x) J.to_float)
+            ~none:(Printf.sprintf "histogram \"%s\": missing numeric \"%s\"" n k)
         in
         let* count = field "count" in
         let* sum = field "sum" in
@@ -1183,26 +1057,9 @@ let snapshot_of_json v =
         else if count > 0.0 && not (mn <= p50 && p50 <= p90 && p90 <= p99 && p99 <= mx) then
           Error (Printf.sprintf "histogram \"%s\": percentiles out of order" n)
         else
-          Ok
-            (( n,
-               {
-                 Metrics.count = int_of_float count;
-                 sum;
-                 min = mn;
-                 max = mx;
-                 p50;
-                 p90;
-                 p99;
-               } )
-            :: acc))
-      (Ok []) histogram_fields
+          Ok { Metrics.count = int_of_float count; sum; min = mn; max = mx; p50; p90; p99 })
   in
-  Ok
-    {
-      Metrics.counters = List.rev counters;
-      gauges = List.rev gauges;
-      histograms = List.rev histograms;
-    }
+  Ok { Metrics.counters; gauges; histograms }
 
 (* Chrome trace_event well-formedness: a [traceEvents] list whose span
    events carry name/ph/pid/tid and non-negative microsecond ts/dur,
@@ -1210,7 +1067,6 @@ let snapshot_of_json v =
    (two spans on one tid are either disjoint or one contains the other).
    Returns the span names seen, for [--expect-span]. *)
 let validate_trace v =
-  let ( let* ) = Result.bind in
   let* events =
     match J.member "traceEvents" v with
     | Some (J.List l) -> Ok l
@@ -1290,105 +1146,87 @@ let expect_span_arg =
   let doc = "Fail validation unless a span named $(docv) appears in the trace (repeatable)." in
   Arg.(value & opt_all string [] & info [ "expect-span" ] ~docv:"NAME" ~doc)
 
+(* A metrics file's snapshot and a trace file's span names, each
+   checked against its schema. *)
+let read_snapshot file =
+  let* v = parse_json_file file in
+  Result.map_error (Printf.sprintf "%s: %s" file) (snapshot_of_json v)
+
+let read_trace file =
+  let* v = parse_json_file file in
+  let* names = Result.map_error (Printf.sprintf "%s: %s" file) (validate_trace v) in
+  Ok (v, names)
+
 let run_obs_stats metrics_file json =
-  let snap =
-    match metrics_file with
-    | None -> Ok (Metrics.snapshot ())
-    | Some file -> (
-      match parse_json_file file with
-      | Error msg -> Error msg
-      | Ok v -> (
-        match snapshot_of_json v with
-        | Ok s -> Ok s
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)))
+  ret_of
+  @@
+  let* snap =
+    match metrics_file with None -> Ok (Metrics.snapshot ()) | Some file -> read_snapshot file
   in
-  match snap with
-  | Error msg -> `Error (false, msg)
-  | Ok snap ->
-    print_string (if json then Metrics.render_json snap else Metrics.render_text snap);
-    `Ok ()
+  print_string (if json then Metrics.render_json snap else Metrics.render_text snap);
+  Ok ()
 
 (* The metrics half of [obs summary]: pool and serve health at a
    glance — worker/utilization/queue gauges first, then every
    histogram with its percentiles. *)
 let summarize_metrics file =
-  match parse_json_file file with
-  | Error msg -> Error msg
-  | Ok v -> (
-    match snapshot_of_json v with
-    | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-    | Ok snap ->
-      let gauges = snap.Metrics.gauges in
-      if gauges <> [] then begin
-        Printf.printf "%-28s %14s\n" "gauge" "value";
-        List.iter (fun (n, v) -> Printf.printf "%-28s %14.3f\n" n v) gauges
-      end;
-      if snap.Metrics.histograms <> [] then begin
-        Printf.printf "%-28s %10s %14s %14s %14s\n" "histogram" "count" "p50" "p99" "max";
-        List.iter
-          (fun (n, h) ->
-            Printf.printf "%-28s %10d %14.3f %14.3f %14.3f\n" n h.Metrics.count h.Metrics.p50
-              h.Metrics.p99 h.Metrics.max)
-          snap.Metrics.histograms
-      end;
-      Ok ())
+  let* snap = read_snapshot file in
+  let gauges = snap.Metrics.gauges in
+  if gauges <> [] then begin
+    Printf.printf "%-28s %14s\n" "gauge" "value";
+    List.iter (fun (n, v) -> Printf.printf "%-28s %14.3f\n" n v) gauges
+  end;
+  if snap.Metrics.histograms <> [] then begin
+    Printf.printf "%-28s %10s %14s %14s %14s\n" "histogram" "count" "p50" "p99" "max";
+    List.iter
+      (fun (n, h) ->
+        Printf.printf "%-28s %10d %14.3f %14.3f %14.3f\n" n h.Metrics.count h.Metrics.p50
+          h.Metrics.p99 h.Metrics.max)
+      snap.Metrics.histograms
+  end;
+  Ok ()
 
 let run_obs_summary trace_file metrics_file =
-  let metrics_res =
-    match metrics_file with
-    | None -> `Ok ()
-    | Some file -> (
-      match summarize_metrics file with Ok () -> `Ok () | Error msg -> `Error (false, msg))
-  in
-  match (metrics_res, trace_file) with
-  | (`Error _ as e), _ -> e
-  | `Ok (), None ->
-    if metrics_file = None then
-      `Error (false, "obs summary requires --trace FILE and/or --metrics FILE")
-    else `Ok ()
-  | `Ok (), Some file -> (
-    match parse_json_file file with
-    | Error msg -> `Error (false, msg)
-    | Ok v -> (
-      match validate_trace v with
-      | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-      | Ok _ ->
-        let events = match J.member "traceEvents" v with Some (J.List l) -> l | _ -> [] in
-        let tbl = Hashtbl.create 32 in
-        List.iter
-          (fun e ->
-            match J.member "ph" e with
-            | Some (J.String "X") ->
-              let name =
-                match J.member "name" e with Some (J.String n) -> n | _ -> "?"
-              in
-              let dur_ms =
-                Option.value (Option.bind (J.member "dur" e) J.to_float) ~default:0.0 /. 1e3
-              in
-              let cpu_ms =
-                Option.value
-                  (Option.bind (Option.bind (J.member "args" e) (J.member "cpu_ms")) J.to_float)
-                  ~default:0.0
-              in
-              let c, tot, mx, cpu =
-                Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0, 0.0, 0.0)
-              in
-              Hashtbl.replace tbl name
-                (c + 1, tot +. dur_ms, Float.max mx dur_ms, cpu +. cpu_ms)
-            | _ -> ())
-          events;
-        let rows = Hashtbl.fold (fun n r acc -> (n, r) :: acc) tbl [] in
-        let rows =
-          List.sort (fun (_, (_, a, _, _)) (_, (_, b, _, _)) -> compare (b : float) a) rows
-        in
-        Printf.printf "%-28s %8s %12s %12s %12s %12s\n" "span" "count" "total ms" "mean ms"
-          "max ms" "cpu ms";
-        List.iter
-          (fun (n, (c, tot, mx, cpu)) ->
-            Printf.printf "%-28s %8d %12.3f %12.3f %12.3f %12.3f\n" n c tot
-              (tot /. float_of_int c) mx cpu)
-          rows;
-        `Ok ()))
+  ret_of
+  @@
+  let* () = match metrics_file with None -> Ok () | Some file -> summarize_metrics file in
+  match trace_file with
+  | None ->
+    if metrics_file = None then Error "obs summary requires --trace FILE and/or --metrics FILE"
+    else Ok ()
+  | Some file ->
+    let* v, _ = read_trace file in
+    let events = match J.member "traceEvents" v with Some (J.List l) -> l | _ -> [] in
+    let tbl = Hashtbl.create 32 in
+    List.iter
+      (fun e ->
+        match J.member "ph" e with
+        | Some (J.String "X") ->
+          let name = match J.member "name" e with Some (J.String n) -> n | _ -> "?" in
+          let dur_ms =
+            Option.value (Option.bind (J.member "dur" e) J.to_float) ~default:0.0 /. 1e3
+          in
+          let cpu_ms =
+            Option.value
+              (Option.bind (Option.bind (J.member "args" e) (J.member "cpu_ms")) J.to_float)
+              ~default:0.0
+          in
+          let c, tot, mx, cpu =
+            Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0, 0.0, 0.0)
+          in
+          Hashtbl.replace tbl name (c + 1, tot +. dur_ms, Float.max mx dur_ms, cpu +. cpu_ms)
+        | _ -> ())
+      events;
+    let rows = Hashtbl.fold (fun n r acc -> (n, r) :: acc) tbl [] in
+    let rows = List.sort (fun (_, (_, a, _, _)) (_, (_, b, _, _)) -> compare (b : float) a) rows in
+    Printf.printf "%-28s %8s %12s %12s %12s %12s\n" "span" "count" "total ms" "mean ms" "max ms"
+      "cpu ms";
+    List.iter
+      (fun (n, (c, tot, mx, cpu)) ->
+        Printf.printf "%-28s %8d %12.3f %12.3f %12.3f %12.3f\n" n c tot (tot /. float_of_int c)
+          mx cpu)
+      rows;
+    Ok ()
 
 let run_obs_validate trace_file metrics_file expect =
   if trace_file = None && metrics_file = None then
@@ -1397,42 +1235,29 @@ let run_obs_validate trace_file metrics_file expect =
     let trace_res =
       match trace_file with
       | None -> Ok ()
-      | Some file -> (
-        match parse_json_file file with
-        | Error msg -> Error msg
-        | Ok v -> (
-          match validate_trace v with
-          | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-          | Ok names ->
-            let missing = List.filter (fun n -> not (List.mem n names)) expect in
-            if missing <> [] then
-              Error
-                (Printf.sprintf "%s: expected span(s) not found: %s" file
-                   (String.concat ", " missing))
-            else begin
-              Printf.printf "trace %s: OK (%d spans)\n" file (List.length names);
-              Ok ()
-            end))
+      | Some file ->
+        let* _, names = read_trace file in
+        let missing = List.filter (fun n -> not (List.mem n names)) expect in
+        if missing <> [] then
+          Error
+            (Printf.sprintf "%s: expected span(s) not found: %s" file (String.concat ", " missing))
+        else begin
+          Printf.printf "trace %s: OK (%d spans)\n" file (List.length names);
+          Ok ()
+        end
     in
     let metrics_res =
       match metrics_file with
       | None -> Ok ()
-      | Some file -> (
-        match parse_json_file file with
-        | Error msg -> Error msg
-        | Ok v -> (
-          match snapshot_of_json v with
-          | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-          | Ok snap ->
-            Printf.printf "metrics %s: OK (%d counters, %d gauges, %d histograms)\n" file
-              (List.length snap.Metrics.counters)
-              (List.length snap.Metrics.gauges)
-              (List.length snap.Metrics.histograms);
-            Ok ()))
+      | Some file ->
+        let* snap = read_snapshot file in
+        Printf.printf "metrics %s: OK (%d counters, %d gauges, %d histograms)\n" file
+          (List.length snap.Metrics.counters)
+          (List.length snap.Metrics.gauges)
+          (List.length snap.Metrics.histograms);
+        Ok ()
     in
-    match (trace_res, metrics_res) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok (), Ok () -> `Ok ()
+    ret_of (Result.bind trace_res (fun () -> metrics_res))
 
 let obs_stats_cmd =
   let doc =

@@ -139,10 +139,13 @@ let resolve_event st (line, ev) =
   | Parallel names ->
     if List.length names < 2 then fail line "'parallel' needs at least two use-cases";
     List.iter (fun n -> ignore (uc_id ~line st n)) names;
+    if List.length (List.sort_uniq compare names) < List.length names then
+      fail line "a use-case appears twice in one 'parallel' set";
     st.parallel <- names :: st.parallel
   | Smooth (a, b) ->
     ignore (uc_id ~line st a);
     ignore (uc_id ~line st b);
+    if a = b then fail line "'smooth %s %s' pairs a use-case with itself" a b;
     st.smooth <- (a, b) :: st.smooth
 
 let resolve doc =
@@ -190,13 +193,6 @@ let parse_file path =
   | text ->
     let name = Filename.remove_extension (Filename.basename path) in
     parse ~name text
-  | exception Sys_error msg -> Error { line = 0; message = msg }
-
-let doc_of_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text ->
-    let name = Filename.remove_extension (Filename.basename path) in
-    Ok (parse_doc ~name text)
   | exception Sys_error msg -> Error { line = 0; message = msg }
 
 (* Shortest decimal form that parses back to the exact float: specs

@@ -56,7 +56,9 @@ val parse_doc : name:string -> string -> doc
 val resolve : doc -> (Design_flow.spec, error) result
 (** Replay a document's events with the full semantic checks; the
     first offending declaration (or [Bad] line) aborts with its source
-    line. *)
+    line.  A resolved spec always expands: a [smooth] pair of one
+    use-case with itself and a [parallel] set naming a use-case twice
+    are rejected here, not left to {!Design_flow.expand} to raise. *)
 
 val parse : name:string -> string -> (Design_flow.spec, error) result
 (** [resolve] of [parse_doc]: parse a complete spec document.  [name]
@@ -65,9 +67,6 @@ val parse : name:string -> string -> (Design_flow.spec, error) result
 val parse_file : string -> (Design_flow.spec, error) result
 (** Read and [parse] a file; I/O failures surface as an [error] on
     line 0. *)
-
-val doc_of_file : string -> (doc, error) result
-(** Read and [parse_doc] a file; only I/O failures are errors. *)
 
 val to_text : Design_flow.spec -> string
 (** Render a spec back into the textual format ([parse] of the result

@@ -1,6 +1,13 @@
 module J = Noc_export.Json
 module Mesh = Noc_arch.Mesh
 
+type outcome =
+  | Design of Noc_core.Design_flow.t
+  | Points of Noc_power.Design_space.point list
+  | Lint of Noc_analysis.Analyzer.report
+  | Certificate of Noc_analysis.Certify.t
+  | Remapped of { old : Noc_core.Design_flow.t; remap : Noc_core.Remap.outcome }
+
 let design d = Noc_export.Design_export.design_to_string d
 
 let points points =
@@ -19,7 +26,9 @@ let points points =
   in
   J.to_string ~indent:2 (J.Obj [ ("points", J.List (List.map point points)) ])
 
-let lint report = Noc_analysis.Analyzer.render_json report ^ "\n"
-
-let certificate cert =
-  J.to_string ~indent:2 (Noc_analysis.Certify.to_json cert) ^ "\n"
+let render = function
+  | Design d -> design d
+  | Points ps -> points ps
+  | Lint report -> Noc_analysis.Analyzer.render_json report ^ "\n"
+  | Certificate cert -> J.to_string ~indent:2 (Noc_analysis.Certify.to_json cert) ^ "\n"
+  | Remapped { remap; _ } -> design remap.Noc_core.Remap.design

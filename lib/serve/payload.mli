@@ -1,13 +1,27 @@
 (** Canonical result payloads.
 
-    One function per operation, producing the {e exact bytes} that both
-    the one-shot CLI writes ([nocmap map --json FILE],
-    [explore --json FILE], [lint --json], [certify --json],
-    [remap --json FILE]) and the daemon returns in its [payload] field.
-    [bin/nocmap.ml] and {!Service} both call these, so
-    "served response == one-shot CLI output" holds by construction and
-    is additionally pinned by the serve tests and the CI
-    [serve-correctness] job. *)
+    An executed operation yields a typed {!outcome}; {!render} turns it
+    into the {e exact bytes} that both the one-shot CLI writes
+    ([nocmap map --json FILE], [explore --json FILE], [lint --json],
+    [certify --json], [remap --json FILE]) and the daemon returns in
+    its [payload] field.  Both front ends obtain the outcome from
+    {!Service.run}, so "served response == one-shot CLI output" holds
+    by construction; the serve tests and the CI [serve-correctness] job
+    pin it as well. *)
+
+type outcome =
+  | Design of Noc_core.Design_flow.t  (** [map] *)
+  | Points of Noc_power.Design_space.point list  (** [explore] *)
+  | Lint of Noc_analysis.Analyzer.report  (** [lint] *)
+  | Certificate of Noc_analysis.Certify.t  (** [certify] *)
+  | Remapped of { old : Noc_core.Design_flow.t; remap : Noc_core.Remap.outcome }
+      (** [remap]: the design of the old revision and the churn onto
+          the new one *)
+
+val render : outcome -> string
+(** The payload bytes of an outcome.  A remap renders its new design;
+    lint reports and certificates end in a newline, like the CLI's
+    [print_endline] of them. *)
 
 val design : Noc_core.Design_flow.t -> string
 (** A completed design as pretty-printed JSON
@@ -16,11 +30,3 @@ val design : Noc_core.Design_flow.t -> string
 val points : Noc_power.Design_space.point list -> string
 (** A design-space sweep's points as pretty-printed JSON (what
     [nocmap explore --json] writes). *)
-
-val lint : Noc_analysis.Analyzer.report -> string
-(** A lint report as JSON, newline-terminated like the CLI's
-    [print_endline]. *)
-
-val certificate : Noc_analysis.Certify.t -> string
-(** A signed certificate as JSON, newline-terminated like the CLI's
-    [print_endline]. *)

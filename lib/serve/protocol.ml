@@ -5,7 +5,14 @@ let proto_version = 1
 
 type op_config = { freq_mhz : float; slots : int; nis_per_switch : int; xy : bool }
 
-let default_config = { freq_mhz = 500.0; slots = 32; nis_per_switch = 8; xy = false }
+let default_config =
+  let d = Config.default in
+  {
+    freq_mhz = d.Config.freq_mhz;
+    slots = d.Config.slots;
+    nis_per_switch = d.Config.nis_per_switch;
+    xy = d.Config.routing = Config.Xy;
+  }
 
 let to_noc_config c =
   {
@@ -181,66 +188,35 @@ let decode_config v =
         }
     | _ -> Error "\"config\" must be an object")
 
-let float_list_member k v =
+let list_member k ~what of_json v =
+  let bad = Error (Printf.sprintf "\"%s\" must be a list of %s" k what) in
   match J.member k v with
   | None -> Ok None
   | Some (J.List items) ->
-    let rec go acc = function
-      | [] -> Ok (Some (List.rev acc))
-      | x :: rest -> (
-        match J.to_float x with
-        | Some f -> go (f :: acc) rest
-        | None -> Error (Printf.sprintf "\"%s\" must be a list of numbers" k))
-    in
-    go [] items
-  | Some _ -> Error (Printf.sprintf "\"%s\" must be a list of numbers" k)
+    let xs = List.filter_map of_json items in
+    if List.compare_lengths xs items = 0 then Ok (Some xs) else bad
+  | Some _ -> bad
 
-let int_list_member k v =
-  match J.member k v with
-  | None -> Ok None
-  | Some (J.List items) ->
-    let rec go acc = function
-      | [] -> Ok (Some (List.rev acc))
-      | J.Int i :: rest -> go (i :: acc) rest
-      | _ -> Error (Printf.sprintf "\"%s\" must be a list of integers" k)
-    in
-    go [] items
-  | Some _ -> Error (Printf.sprintf "\"%s\" must be a list of integers" k)
+(* The fields every single-spec op starts with. *)
+let spec_fields op ~name ~spec ~config rest =
+  ("op", J.String op) :: ("name", J.String name) :: ("spec", J.String spec)
+  :: ("config", J.Obj (config_fields config)) :: rest
 
 let encode_op = function
   | Ping -> [ ("op", J.String "ping") ]
-  | Map { name; spec; config } ->
-    [
-      ("op", J.String "map");
-      ("name", J.String name);
-      ("spec", J.String spec);
-      ("config", J.Obj (config_fields config));
-    ]
+  | Map { name; spec; config } -> spec_fields "map" ~name ~spec ~config []
   | Explore { name; spec; config; frequencies; slot_counts; torus } ->
-    [ ("op", J.String "explore"); ("name", J.String name); ("spec", J.String spec);
-      ("config", J.Obj (config_fields config)) ]
-    @ (match frequencies with
-      | None -> []
-      | Some fs -> [ ("frequencies", J.List (List.map (fun f -> J.Float f) fs)) ])
-    @ (match slot_counts with
-      | None -> []
-      | Some ss -> [ ("slot_counts", J.List (List.map (fun s -> J.Int s) ss)) ])
-    @ [ ("torus", J.Bool torus) ]
+    spec_fields "explore" ~name ~spec ~config
+      ((match frequencies with
+       | None -> []
+       | Some fs -> [ ("frequencies", J.List (List.map (fun f -> J.Float f) fs)) ])
+      @ (match slot_counts with
+        | None -> []
+        | Some ss -> [ ("slot_counts", J.List (List.map (fun s -> J.Int s) ss)) ])
+      @ [ ("torus", J.Bool torus) ])
   | Lint { name; spec; config; deep } ->
-    [
-      ("op", J.String "lint");
-      ("name", J.String name);
-      ("spec", J.String spec);
-      ("config", J.Obj (config_fields config));
-      ("deep", J.Bool deep);
-    ]
-  | Certify { name; spec; config } ->
-    [
-      ("op", J.String "certify");
-      ("name", J.String name);
-      ("spec", J.String spec);
-      ("config", J.Obj (config_fields config));
-    ]
+    spec_fields "lint" ~name ~spec ~config [ ("deep", J.Bool deep) ]
+  | Certify { name; spec; config } -> spec_fields "certify" ~name ~spec ~config []
   | Remap { from_name; from_spec; to_name; to_spec; config } ->
     [
       ("op", J.String "remap");
@@ -271,30 +247,21 @@ let decode_request text =
     | "ping" -> Ok Ping
     | "stats" -> Ok Stats
     | "shutdown" -> Ok Shutdown
-    | "map" ->
+    | ("map" | "explore" | "lint" | "certify") as kind -> (
       let* name = need "name" in
       let* spec = need "spec" in
       let* config = decode_config v in
-      Ok (Map { name; spec; config })
-    | "explore" ->
-      let* name = need "name" in
-      let* spec = need "spec" in
-      let* config = decode_config v in
-      let* frequencies = float_list_member "frequencies" v in
-      let* slot_counts = int_list_member "slot_counts" v in
-      let torus = Option.value (bool_member "torus" v) ~default:false in
-      Ok (Explore { name; spec; config; frequencies; slot_counts; torus })
-    | "lint" ->
-      let* name = need "name" in
-      let* spec = need "spec" in
-      let* config = decode_config v in
-      let deep = Option.value (bool_member "deep" v) ~default:false in
-      Ok (Lint { name; spec; config; deep })
-    | "certify" ->
-      let* name = need "name" in
-      let* spec = need "spec" in
-      let* config = decode_config v in
-      Ok (Certify { name; spec; config })
+      let flag k = Option.value (bool_member k v) ~default:false in
+      match kind with
+      | "map" -> Ok (Map { name; spec; config })
+      | "explore" ->
+        let* frequencies = list_member "frequencies" ~what:"numbers" J.to_float v in
+        let* slot_counts =
+          list_member "slot_counts" ~what:"integers" (function J.Int i -> Some i | _ -> None) v
+        in
+        Ok (Explore { name; spec; config; frequencies; slot_counts; torus = flag "torus" })
+      | "lint" -> Ok (Lint { name; spec; config; deep = flag "deep" })
+      | _ -> Ok (Certify { name; spec; config }))
     | "remap" ->
       let* from_name = need "from_name" in
       let* from_spec = need "from" in

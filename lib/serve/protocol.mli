@@ -31,20 +31,21 @@ val proto_version : int
 (** Current protocol version (1). *)
 
 type op_config = {
-  freq_mhz : float;  (** NoC operating frequency (default 500.0) *)
-  slots : int;  (** TDMA slot-table size (default 32) *)
-  nis_per_switch : int;  (** max NIs per switch (default 8) *)
-  xy : bool;  (** XY routing instead of min-cost (default false) *)
+  freq_mhz : float;  (** NoC operating frequency, MHz *)
+  slots : int;  (** TDMA slot-table size *)
+  nis_per_switch : int;  (** max NIs per switch *)
+  xy : bool;  (** XY routing instead of min-cost *)
 }
 (** The config knobs a request may override — exactly the CLI design
-    flags, with the CLI defaults. *)
+    flags ([--freq], [--slots], [--nis-per-switch], [--xy]). *)
 
 val default_config : op_config
+(** The knobs of {!Noc_arch.Noc_config.default}; the CLI flags take
+    their defaults from here. *)
 
 val to_noc_config : op_config -> Noc_arch.Noc_config.t
 (** The full {!Noc_arch.Noc_config.t} a request's knobs denote (other
-    fields from [Noc_config.default]), matching the CLI's
-    [make_config]. *)
+    fields from [Noc_config.default]). *)
 
 type op =
   | Ping  (** liveness check; empty payload *)

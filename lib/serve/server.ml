@@ -7,7 +7,6 @@ type config = {
   max_inflight : int;
   linger_ms : float;
   retry_after_ms : int;
-  jobs : int option;
   install_signals : bool;
 }
 
@@ -18,7 +17,6 @@ let default_config ~socket_path =
     max_inflight = 8;
     linger_ms = 0.;
     retry_after_ms = 50;
-    jobs = None;
     install_signals = false;
   }
 
@@ -220,7 +218,7 @@ let execute_queue t =
     let jobs = Array.map (fun p -> p.p_job) batch in
     let plan = Service.plan jobs in
     Metrics.incr ~by:plan.Service.coalesced m_coalesced;
-    let results = Service.execute_batch ?jobs:t.cfg.jobs plan.Service.unique in
+    let results = Service.execute_batch plan.Service.unique in
     (* How many requesters share each unique slot: a slot with >1 is a
        coalesced computation and every fan-out is flagged. *)
     let sharers = Array.make (Array.length plan.Service.unique) 0 in

@@ -11,9 +11,9 @@
     and new request lines accumulate in kernel socket buffers — the
     next loop iteration drains them all at once, so load arriving
     during a computation forms the next batch naturally (and the
-    wider the batch, the more single-flight coalescing and explore
-    grid merging pay off).  [linger_ms] widens batches further by
-    holding a non-empty queue open for that long before executing.
+    wider the batch, the more single-flight coalescing pays off).
+    [linger_ms] widens batches further by holding a non-empty queue
+    open for that long before executing.
 
     {2 Admission control}
 
@@ -49,14 +49,13 @@ type config = {
   max_inflight : int;     (** per-client queued-request cap *)
   linger_ms : float;      (** batching window once the queue is non-empty *)
   retry_after_ms : int;   (** backoff hint attached to load-shed failures *)
-  jobs : int option;      (** pool parallelism per batch (default: pool default) *)
   install_signals : bool; (** drain on SIGTERM/SIGINT (the CLI sets this;
                               tests use {!stop} instead) *)
 }
 
 val default_config : socket_path:string -> config
 (** [max_queue 64], [max_inflight 8], no linger, [retry_after_ms 50],
-    pool-default jobs, no signal handlers. *)
+    no signal handlers. *)
 
 val stop : unit -> unit
 (** Ask the running server to drain and return — the same path a

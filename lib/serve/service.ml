@@ -6,23 +6,23 @@ module Spec_parser = Noc_core.Spec_parser
 module Mapping_cache = Noc_core.Mapping_cache
 module Metrics = Noc_obs.Metrics
 
-let m_merged_points = Metrics.counter "serve.merged_points"
-
 type kind =
   | Map_k of { spec : DF.spec; config : Config.t }
-  | Explore_k of {
-      all : Noc_traffic.Use_case.t list;
-      groups : int list list;
-      config : Config.t;
-      axes : DS.axes;
-    }
+  | Explore_k of { spec : DF.spec; config : Config.t; axes : DS.axes }
   | Lint_k of { doc : Spec_parser.doc; config : Config.t; deep : bool }
   | Certify_k of { spec : DF.spec; config : Config.t }
   | Remap_k of { old_spec : DF.spec; new_spec : DF.spec; config : Config.t }
 
-type job = { key : string; kind : kind }
+(* The key is lazy: only the daemon's coalescing reads it, and a
+   one-shot run must not pay for the problem digest. *)
+type job = { key : string Lazy.t; kind : kind }
 
-let key j = j.key
+let key j = Lazy.force j.key
+
+let spec j =
+  match j.kind with
+  | Map_k { spec; _ } | Certify_k { spec; _ } -> Some spec
+  | Explore_k _ | Lint_k _ | Remap_k _ -> None
 
 (* The canonical mapping-problem digest of a parsed spec under a
    config (names excluded — see Mapping_cache).  The payload, though,
@@ -61,6 +61,10 @@ let axes_token (axes : DS.axes) =
     (String.concat ","
        (List.map (function Mesh.Mesh -> "mesh" | Mesh.Torus -> "torus") axes.DS.topologies))
 
+let spec_key ?(extra = "") op ~config spec =
+  lazy
+    (op ^ "|" ^ problem_digest ~config spec ^ "|" ^ text_digest [ Spec_parser.to_text spec ] ^ extra)
+
 let prepare (op : Protocol.op) =
   let ( let* ) = Result.bind in
   match op with
@@ -69,44 +73,39 @@ let prepare (op : Protocol.op) =
   | Protocol.Map { name; spec; config } ->
     let config = Protocol.to_noc_config config in
     let* spec = parse_spec ~name spec in
-    let key =
-      "map|" ^ problem_digest ~config spec ^ "|" ^ text_digest [ Spec_parser.to_text spec ]
-    in
-    Ok { key; kind = Map_k { spec; config } }
+    Ok { key = spec_key "map" ~config spec; kind = Map_k { spec; config } }
   | Protocol.Certify { name; spec; config } ->
     let config = Protocol.to_noc_config config in
     let* spec = parse_spec ~name spec in
-    let key =
-      "certify|" ^ problem_digest ~config spec ^ "|" ^ text_digest [ Spec_parser.to_text spec ]
-    in
-    Ok { key; kind = Certify_k { spec; config } }
+    Ok { key = spec_key "certify" ~config spec; kind = Certify_k { spec; config } }
   | Protocol.Explore { name; spec; config; frequencies; slot_counts; torus } ->
     let config = Protocol.to_noc_config config in
     let* spec = parse_spec ~name spec in
     let axes = axes_of ~frequencies ~slot_counts ~torus in
-    let all, _compounds, groups = DF.expand spec in
-    let key =
-      "explore|" ^ problem_digest ~config spec ^ "|"
-      ^ text_digest [ Spec_parser.to_text spec ]
-      ^ "|" ^ axes_token axes
-    in
-    Ok { key; kind = Explore_k { all; groups; config; axes } }
+    let key = spec_key "explore" ~extra:("|" ^ axes_token axes) ~config spec in
+    Ok { key; kind = Explore_k { spec; config; axes } }
   | Protocol.Lint { name; spec; config; deep } ->
     let config = Protocol.to_noc_config config in
     let doc = Spec_parser.parse_doc ~name spec in
     (* Lint diagnostics carry source lines, so the key digests the raw
        text, not a canonical rendering. *)
     let key =
-      Printf.sprintf "lint|%b|%s|%s" deep (config_digest config) (text_digest [ name; spec ])
+      lazy
+        (Printf.sprintf "lint|%b|%s|%s" deep (config_digest config) (text_digest [ name; spec ]))
     in
     Ok { key; kind = Lint_k { doc; config; deep } }
   | Protocol.Remap { from_name; from_spec; to_name; to_spec; config } ->
     let config = Protocol.to_noc_config config in
-    let* old_spec = parse_spec ~name:from_name from_spec in
-    let* new_spec = parse_spec ~name:to_name to_spec in
+    (* One error code covers both specs: say which one failed. *)
+    let parse ~name text =
+      Result.map_error (fun (code, msg) -> (code, name ^ ": " ^ msg)) (parse_spec ~name text)
+    in
+    let* old_spec = parse ~name:from_name from_spec in
+    let* new_spec = parse ~name:to_name to_spec in
     let key =
-      "remap|" ^ problem_digest ~config old_spec ^ "|" ^ problem_digest ~config new_spec ^ "|"
-      ^ text_digest [ Spec_parser.to_text old_spec; Spec_parser.to_text new_spec ]
+      lazy
+        ("remap|" ^ problem_digest ~config old_spec ^ "|" ^ problem_digest ~config new_spec ^ "|"
+        ^ text_digest [ Spec_parser.to_text old_spec; Spec_parser.to_text new_spec ])
     in
     Ok { key; kind = Remap_k { old_spec; new_spec; config } }
 
@@ -116,9 +115,10 @@ let prepare (op : Protocol.op) =
    dominate the warm-path service time — it scales per request where
    everything downstream scales per distinct key.  The memo key is a
    digest of the marshalled op (in-process only, so representation
-   stability across builds is irrelevant); jobs are immutable, so
-   sharing the prepared value is safe.  Bounded by wholesale reset —
-   the working set of distinct ops is tiny. *)
+   stability across builds is irrelevant); jobs are immutable and their
+   keys are forced here, on admission, so sharing the prepared value is
+   safe.  Bounded by wholesale reset — the working set of distinct ops
+   is tiny. *)
 let memo : (string, (job, Protocol.error_code * string) result) Hashtbl.t = Hashtbl.create 64
 let memo_lock = Mutex.create ()
 let memo_capacity = 512
@@ -134,7 +134,7 @@ let prepare_cached op =
     r
   | None ->
     Mutex.unlock memo_lock;
-    let r = prepare op in
+    let r = Result.map (fun j -> ignore (key j); j) (prepare op) in
     Mutex.lock memo_lock;
     if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
     Hashtbl.replace memo k r;
@@ -151,11 +151,11 @@ let plan jobs =
   let assign =
     Array.map
       (fun j ->
-        match Hashtbl.find_opt seen j.key with
+        match Hashtbl.find_opt seen (key j) with
         | Some slot -> slot
         | None ->
           let slot = !n_unique in
-          Hashtbl.add seen j.key slot;
+          Hashtbl.add seen (key j) slot;
           unique := j :: !unique;
           incr n_unique;
           slot)
@@ -167,124 +167,34 @@ let plan jobs =
     coalesced = Array.length jobs - !n_unique;
   }
 
-(* --- explore grid merging ------------------------------------------------ *)
-
-(* A sweep point's identity is the problem digest with the point's
-   frequency, slot count and topology folded into the config — exactly
-   the digest keying its growth attempts in the shared cache. *)
-type shared_point = {
-  p_all : Noc_traffic.Use_case.t list;
-  p_groups : int list list;
-  p_config : Config.t;
-  p_freq : float;
-  p_slots : int;
-  p_topology : Mesh.kind;
-}
-
-let explore_points jobs =
-  (* (point digest -> first-seen shared_point, #distinct jobs listing it) *)
-  let tbl : (string, shared_point * int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun j ->
-      match j.kind with
-      | Explore_k { all; groups; config; axes } ->
-        List.iter
-          (fun topology ->
-            List.iter
-              (fun slots ->
-                List.iter
-                  (fun freq ->
-                    let pc =
-                      { config with Config.freq_mhz = freq; slots; topology }
-                    in
-                    let digest =
-                      Mapping_cache.problem_digest ~config:pc
-                        ~engine:Noc_core.Mapping.Indexed ~groups all
-                    in
-                    match Hashtbl.find_opt tbl digest with
-                    | Some (sp, count) -> Hashtbl.replace tbl digest (sp, count + 1)
-                    | None ->
-                      Hashtbl.add tbl digest
-                        ( {
-                            p_all = all;
-                            p_groups = groups;
-                            p_config = config;
-                            p_freq = freq;
-                            p_slots = slots;
-                            p_topology = topology;
-                          },
-                          1 ))
-                  axes.DS.frequencies)
-              axes.DS.slot_counts)
-          axes.DS.topologies
-      | _ -> ())
-    jobs;
-  let shared = ref [] in
-  Hashtbl.iter (fun _ (sp, count) -> if count >= 2 then shared := sp :: !shared) tbl;
-  (* Deterministic order for the pre-warm fan-out. *)
-  List.sort
-    (fun a b ->
-      compare
-        (a.p_topology, a.p_slots, a.p_freq)
-        (b.p_topology, b.p_slots, b.p_freq))
-    !shared
-
-let merge_explore_points jobs = List.length (explore_points jobs)
-
-(* Solve one shared point cold: the growth attempts land in the shared
-   Mapping_cache, so every explore job of the batch replays them as
-   hits.  Results are byte-identical either way (the cache identity is
-   pinned repo-wide); merging only removes duplicate work. *)
-let prewarm_point sp =
-  let axes =
-    {
-      DS.frequencies = [ sp.p_freq ];
-      slot_counts = [ sp.p_slots ];
-      topologies = [ sp.p_topology ];
-    }
-  in
-  ignore
-    (DS.explore ~axes ~warm:false ~config:sp.p_config ~groups:sp.p_groups sp.p_all)
-
 (* --- execution ----------------------------------------------------------- *)
 
-let execute j =
+let run ?(parallel = true) ?(prune = true) ?(refine = false) ?post ?(warm = true)
+    ?(reference = false) j =
+  let ( let* ) = Result.bind in
   match j.kind with
-  | Map_k { spec; config } -> (
-    match DF.run ~config spec with
-    | Ok d -> Ok (Payload.design d)
-    | Error msg -> Error msg)
-  | Explore_k { all; groups; config; axes } ->
-    Ok (Payload.points (DS.explore ~axes ~config ~groups all))
+  | Map_k { spec; config } ->
+    let* d = DF.run ~config ~parallel ~prune ~refine ?post spec in
+    Ok (Payload.Design d)
+  | Explore_k { spec; config; axes } ->
+    let all, _compounds, groups = DF.expand spec in
+    Ok (Payload.Points (DS.explore ~axes ~warm ~prune ~config ~groups all))
   | Lint_k { doc; config; deep } ->
-    Ok (Payload.lint (Noc_analysis.Analyzer.analyze_doc ~config ~deep doc))
-  | Certify_k { spec; config } -> (
-    match DF.run ~config spec with
-    | Ok d ->
-      Ok
-        (Payload.certificate
-           (Noc_analysis.Certify.certify ~name:spec.DF.name d.DF.mapping d.DF.all_use_cases))
-    | Error msg -> Error msg)
-  | Remap_k { old_spec; new_spec; config } -> (
-    match DF.run ~config old_spec with
-    | Error msg -> Error msg
-    | Ok old -> (
-      match Noc_core.Remap.remap ~config ~old new_spec with
-      | Ok o -> Ok (Payload.design o.Noc_core.Remap.design)
-      | Error msg -> Error msg))
+    Ok (Payload.Lint (Noc_analysis.Analyzer.analyze_doc ~config ~deep doc))
+  | Certify_k { spec; config } ->
+    let* d = DF.run ~config ~parallel ~prune spec in
+    Ok
+      (Payload.Certificate
+         (Noc_analysis.Certify.certify ~name:spec.DF.name d.DF.mapping d.DF.all_use_cases))
+  | Remap_k { old_spec; new_spec; config } ->
+    let* old = DF.run ~config ~parallel ~prune old_spec in
+    let mode = if reference then Noc_core.Remap.Reference else Noc_core.Remap.Incremental in
+    let* remap = Noc_core.Remap.remap ~config ~mode ~parallel ~prune ~old new_spec in
+    Ok (Payload.Remapped { old; remap })
+
+let execute j = Result.map Payload.render (run j)
 
 let safe_execute j =
   try execute j with e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
 
-let execute_batch ?jobs js =
-  (* Sweep-point batching: overlapping explore grids contribute their
-     shared points to one deduplicated pre-pass.  Pointless when the
-     cache is off — nothing would carry the pre-solved results to the
-     jobs. *)
-  (if Mapping_cache.enabled () then
-     match explore_points js with
-     | [] -> ()
-     | shared ->
-       Metrics.incr ~by:(List.length shared) m_merged_points;
-       ignore (Noc_util.Domain_pool.map ?jobs prewarm_point shared));
-  Array.of_list (Noc_util.Domain_pool.map ?jobs safe_execute (Array.to_list js))
+let execute_batch js = Array.of_list (Noc_util.Domain_pool.map safe_execute (Array.to_list js))

@@ -1,6 +1,6 @@
 (* Serve-mode tests: the wire protocol's round-trips and handshake,
-   the scheduler core's single-flight coalescing and explore-grid
-   merging (pure, no sockets), and the live daemon end to end —
+   the scheduler core's single-flight coalescing and batch execution
+   (pure, no sockets), and the live daemon end to end —
    byte-identical payloads under concurrency with exactly one
    underlying solve, admission control (queue and per-client caps),
    version-mismatch rejection, and graceful shutdown that drains
@@ -181,7 +181,10 @@ let test_plan_coalesces () =
   Alcotest.(check int) "map and certify stay distinct" 2
     (Array.length (Service.plan mixed).Service.unique)
 
-let test_explore_merge () =
+(* Two explore jobs whose grids overlap (500 MHz x {16, 32} slots)
+   run as one batch with the cache on: each payload must equal the
+   bytes of that job run alone from an empty cache. *)
+let test_explore_batch_overlap () =
   let text = Lazy.force d1_text in
   let explore frequencies =
     prepare_exn
@@ -195,28 +198,56 @@ let test_explore_merge () =
            torus = false;
          })
   in
-  (* Grids [250;500] and [500;1000] overlap at 500 MHz only: 1 shared
-     frequency x 2 slot counts x 1 topology = 2 shared points. *)
   let jobs = [| explore [ 250.0; 500.0 ]; explore [ 500.0; 1000.0 ] |] in
-  Alcotest.(check int) "overlap of the two grids" 2 (Service.merge_explore_points jobs);
-  Alcotest.(check int) "one grid shares nothing" 0
-    (Service.merge_explore_points [| explore [ 250.0; 500.0 ] |]);
-  (* Identical grids are fully shared - but identical jobs coalesce
-     before merging, so this only matters for distinct keys. *)
-  let torus_twin =
-    prepare_exn
-      (P.Explore
-         {
-           name = "d1";
-           spec = text;
-           config = P.default_config;
-           frequencies = Some [ 250.0; 500.0 ];
-           slot_counts = Some [ 16; 32 ];
-           torus = true;
-         })
+  Mapping_cache.set_enabled true;
+  let alone =
+    Array.map
+      (fun j ->
+        Mapping_cache.clear ();
+        match Service.execute j with
+        | Ok payload -> payload
+        | Error msg -> Alcotest.failf "explore failed alone: %s" msg)
+      jobs
   in
-  Alcotest.(check int) "mesh half of a torus grid is shared" 4
-    (Service.merge_explore_points [| explore [ 250.0; 500.0 ]; torus_twin |])
+  Mapping_cache.clear ();
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok payload -> Alcotest.(check string) "batched == alone" alone.(i) payload
+      | Error msg -> Alcotest.failf "explore failed in the batch: %s" msg)
+    (Service.execute_batch jobs)
+
+(* Specs that resolve but cannot expand used to escape [prepare] as
+   exceptions; they are located spec errors now. *)
+let self_smooth_text = "cores 3\nuse-case a\n  flow 0 -> 1 bw 10\nuse-case b\n  flow 1 -> 2 bw 10\nsmooth a a\n"
+
+let duplicate_parallel_text =
+  "cores 3\nuse-case a\n  flow 0 -> 1 bw 10\nuse-case b\n  flow 1 -> 2 bw 10\nparallel a b a\n"
+
+let test_prepare_unexpandable () =
+  List.iter
+    (fun (what, text) ->
+      List.iter
+        (fun op ->
+          match Service.prepare op with
+          | Error (P.Spec_error, msg) ->
+            Alcotest.(check bool) (what ^ ": located on line 6") true (contains_sub msg "line 6")
+          | Error (code, _) -> Alcotest.failf "%s: wrong code %s" what (P.error_code_to_string code)
+          | Ok _ -> Alcotest.failf "%s: accepted" what)
+        [
+          map_op what text;
+          P.Certify { name = what; spec = text; config = P.default_config };
+          P.Explore
+            {
+              name = what;
+              spec = text;
+              config = P.default_config;
+              frequencies = None;
+              slot_counts = None;
+              torus = false;
+            };
+        ])
+    [ ("self-smooth", self_smooth_text); ("duplicate-parallel", duplicate_parallel_text) ]
 
 let test_prepare_rejects () =
   (match Service.prepare (map_op "bad" "cores nope\n") with
@@ -489,6 +520,29 @@ let test_bad_requests () =
   Server.stop ();
   join_server handle
 
+(* A served spec that resolves but cannot expand once killed the
+   daemon; it must answer spec-error and keep serving. *)
+let test_unexpandable_spec_survives () =
+  let cfg = Server.default_config ~socket_path:(socket_path "unexpandable") in
+  let handle = start_server cfg in
+  (match Client.connect ~socket:cfg.Server.socket_path () with
+  | Error msg -> Alcotest.failf "connect failed: %s" msg
+  | Ok conn ->
+    List.iter
+      (fun (name, text) ->
+        match request_exn conn (map_op name text) with
+        | P.Failure { code = P.Spec_error; _ } -> ()
+        | P.Failure { code; _ } ->
+          Alcotest.failf "%s: expected spec-error, got %s" name (P.error_code_to_string code)
+        | P.Result _ -> Alcotest.failf "%s: mapped" name)
+      [ ("self", self_smooth_text); ("dup", duplicate_parallel_text) ];
+    (match request_exn conn P.Ping with
+    | P.Result { payload; _ } -> Alcotest.(check string) "still answers ping" "pong" payload
+    | P.Failure _ -> Alcotest.fail "ping failed");
+    Client.close conn);
+  Server.stop ();
+  join_server handle
+
 let test_pool_gauges () =
   Metrics.reset ();
   let r = Noc_util.Domain_pool.map ~jobs:2 (fun x -> x * x) [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
@@ -513,7 +567,10 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "plan coalesces by canonical key" `Quick test_plan_coalesces;
-          Alcotest.test_case "explore grids merge" `Quick test_explore_merge;
+          Alcotest.test_case "explore batch == each alone" `Quick
+            test_explore_batch_overlap;
+          Alcotest.test_case "unexpandable specs rejected" `Quick
+            test_prepare_unexpandable;
           Alcotest.test_case "prepare rejects garbage" `Quick test_prepare_rejects;
         ] );
       ( "daemon",
@@ -525,6 +582,8 @@ let () =
           Alcotest.test_case "graceful shutdown drains and flushes" `Quick
             test_graceful_shutdown;
           Alcotest.test_case "bad requests fail structurally" `Quick test_bad_requests;
+          Alcotest.test_case "unexpandable spec survived" `Quick
+            test_unexpandable_spec_survives;
         ] );
       ( "pool",
         [ Alcotest.test_case "busy/utilization gauges" `Quick test_pool_gauges ] );
