@@ -119,8 +119,9 @@ let config_term =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the shared pool (mesh-size speculation, design-space sweeps, experiment \
-     fan-out).  Defaults to the machine's recommended domain count."
+    "Worker domains for the shared pool (design-space sweeps, minimum-frequency scans, \
+     experiment fan-out).  The mesh-size search itself runs on one domain.  Defaults to \
+     the machine's recommended domain count."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -218,7 +219,8 @@ let remap_op config from_file to_file =
    the file it came from. *)
 let prepare ?file op =
   Result.map_error
-    (fun (_, msg) -> match file with Some f -> f ^ ": " ^ msg | None -> msg)
+    (fun (code, msg) ->
+      match (code, file) with Protocol.Spec_error, Some f -> f ^ ": " ^ msg | _ -> msg)
     (Service.prepare op)
 
 (* --- engine and output flags ---------------------------------------------------- *)
@@ -226,13 +228,6 @@ let prepare ?file op =
 let refine_arg =
   let doc = "Run the simulated-annealing placement refinement after mapping." in
   Arg.(value & flag & info [ "refine" ] ~doc)
-
-let sequential_arg =
-  let doc =
-    "Search mesh sizes strictly one at a time instead of speculatively evaluating a window of \
-     sizes on separate domains (the result is identical either way)."
-  in
-  Arg.(value & flag & info [ "sequential" ] ~doc)
 
 let wc_arg =
   let doc = "Design with the worst-case baseline method [25] instead of the multi-use-case method." in
@@ -316,7 +311,7 @@ let certify_design (d : DF.t) =
   if C.clean cert then Ok ()
   else Error (Printf.sprintf "certificate rejected (%d findings)" (List.length cert.C.findings))
 
-let run_map () input config refine sequential wc no_prune vhdl systemc dump certify json =
+let run_map () input config refine wc no_prune vhdl systemc dump certify json =
   ret_of
   @@
   let* input = input in
@@ -332,20 +327,19 @@ let run_map () input config refine sequential wc no_prune vhdl systemc dump cert
     in
     emit_dump dump m
   in
-  let parallel = not sequential in
   match Service.spec job with
   | Some spec when wc -> (
     if certify then Error "--certify applies to the multi-use-case flow, not --wc"
     else if json <> None then Error "--json applies to the multi-use-case flow, not --wc"
     else
-      match WC.map_design ~config:(Protocol.to_noc_config config) ~parallel spec.DF.use_cases with
+      match WC.map_design ~config:(Protocol.to_noc_config config) spec.DF.use_cases with
       | Error failure -> Error (Format.asprintf "%a" Mapping.pp_failure failure)
       | Ok m ->
         print_design (spec.DF.name ^ " (WC method)") m true;
         emits spec.DF.name m)
   | _ -> (
     let post = if certify then Some certify_design else None in
-    match Service.run ~parallel ~prune:(not no_prune) ~refine ?post job with
+    match Service.run ~prune:(not no_prune) ~refine ?post job with
     | Error msg -> Error msg
     | Ok (Payload.Design d as outcome) ->
       let name = d.DF.spec.DF.name in
@@ -365,7 +359,7 @@ let map_cmd =
     Term.(
       ret
         (const run_map $ process_term () $ input_term () $ config_term $ refine_arg
-       $ sequential_arg $ wc_arg $ no_prune_arg $ vhdl_arg $ systemc_arg $ dump_arg
+       $ wc_arg $ no_prune_arg $ vhdl_arg $ systemc_arg $ dump_arg
        $ certify_flag_arg $ map_json_arg))
 
 (* --- experiments -------------------------------------------------------------- *)
@@ -788,13 +782,13 @@ let remap_json_arg =
   let doc = "Write the remapped design as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let run_remap () from_file to_file reference config sequential no_prune json dump certify =
+let run_remap () from_file to_file reference config no_prune json dump certify =
   let open Noc_core.Remap in
   ret_of
   @@
   let* op = remap_op config from_file to_file in
   let* job = prepare op in
-  match Service.run ~parallel:(not sequential) ~prune:(not no_prune) ~reference job with
+  match Service.run ~prune:(not no_prune) ~reference job with
   | Error msg -> Error msg
   | Ok (Payload.Remapped { old; remap = o } as outcome) ->
     let design = o.design in
@@ -833,7 +827,7 @@ let remap_cmd =
     Term.(
       ret
         (const run_remap $ process_term () $ remap_from_arg $ remap_to_arg $ reference_arg
-       $ config_term $ sequential_arg $ no_prune_arg $ remap_json_arg $ dump_arg
+       $ config_term $ no_prune_arg $ remap_json_arg $ dump_arg
        $ certify_flag_arg))
 
 (* --- serve / client -------------------------------------------------------------- *)

@@ -45,6 +45,7 @@ let slots_for_bandwidth t bw =
 
 let validate t =
   if t.freq_mhz <= 0.0 then Error "frequency must be positive"
+  else if not (Float.is_finite t.freq_mhz) then Error "frequency must be finite"
   else if t.link_width_bits <= 0 then Error "link width must be positive"
   else if t.slots <= 0 then Error "slot count must be positive"
   else if t.slot_cycles <= 0 then Error "slot cycles must be positive"

@@ -50,6 +50,7 @@ val slots_for_bandwidth : t -> Noc_util.Units.bandwidth -> int
     zero bandwidth, at least [1] otherwise. *)
 
 val validate : t -> (unit, string) result
-(** Reject non-positive frequencies, widths, slot counts, etc. *)
+(** Reject non-positive or non-finite frequencies, non-positive
+    widths, slot counts, etc. *)
 
 val pp : Format.formatter -> t -> unit

@@ -48,7 +48,7 @@ let assemble ?refinement ~spec ~all_use_cases ~compounds ~groups mapping =
   Metrics.incr ~by:report.Verify.checks m_verify_checks;
   package ?refinement ~spec ~all_use_cases ~compounds ~groups ~report mapping
 
-let run ?config ?parallel ?prune ?(refine = false) ?post spec =
+let run ?config ?prune ?(refine = false) ?post spec =
   match spec.use_cases with
   | [] -> Error "design flow: no use-cases"
   | _ ->
@@ -64,7 +64,7 @@ let run ?config ?parallel ?prune ?(refine = false) ?post spec =
         let cache = Mapping_cache.design_cache ?config ~groups all in
         match
           Tracer.with_span ~cat:"flow" "phase:map" (fun () ->
-              Mapping.map_design ?config ?parallel ?prune ?cache ~groups all)
+              Mapping.map_design ?config ?prune ?cache ~groups all)
         with
         | Error failure -> Error (Format.asprintf "%s: %a" spec.name Mapping.pp_failure failure)
         | Ok mapping ->

@@ -66,16 +66,12 @@ val assemble :
 
 val run :
   ?config:Noc_arch.Noc_config.t ->
-  ?parallel:bool ->
   ?prune:bool ->
   ?refine:bool ->
   ?post:(t -> (unit, string) result) ->
   spec ->
   (t, string) result
-(** Run all phases.  [parallel] (default true) lets the phase-3 mesh
-    growth search evaluate sizes speculatively on separate domains (see
-    {!Mapping.map_design}; the result is unchanged).  [prune] (default
-    true) skips mesh sizes whose {!Feasibility} certificate proves them
+(** Run all phases.  [prune] (default true) skips mesh sizes whose {!Feasibility} certificate proves them
     infeasible — same result, fewer attempts.  [refine] (default
     false) additionally runs the simulated-annealing placement
     refinement.  [post] runs on the assembled design as an optional

@@ -331,14 +331,14 @@ let check_bounds t ~label ~switches ~maxdeg ~links =
         None t.group_certs
     end
 
-let violation t ~width ~height =
+let explain t ~width ~height =
   let mesh = Mesh.create_kind ~kind:t.topology ~width ~height in
   let maxdeg, links = graph_metrics mesh in
   check_bounds t
     ~label:(Printf.sprintf "%dx%d" width height)
     ~switches:(width * height) ~maxdeg ~links
 
-let admits t ~width ~height = violation t ~width ~height = None
+let admits t ~width ~height = explain t ~width ~height = None
 
 let admits_mesh t mesh =
   (* Uses the actual switch graph, so express channels and other
@@ -348,8 +348,6 @@ let admits_mesh t mesh =
     ~label:(Format.asprintf "%a" Mesh.pp mesh)
     ~switches:(Mesh.switch_count mesh) ~maxdeg ~links
   = None
-
-let explain t ~width ~height = violation t ~width ~height
 
 let first_admitted t =
   List.find_opt

@@ -84,9 +84,6 @@ val explain : t -> width:int -> height:int -> string option
 (** The first violated bound at this size, rendered; [None] iff
     {!admits}. *)
 
-val violation : t -> width:int -> height:int -> string option
-(** Alias of {!explain} (the lint passes use both names). *)
-
 val first_admitted : t -> (int * int) option
 (** Earliest growth-sequence size the certificate admits — where the
     pruned growth search starts.  [None]: provably infeasible up to the

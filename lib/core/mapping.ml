@@ -501,14 +501,6 @@ let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
     | Ok t -> Ok t
     | Error _ -> Error compact_msg)
 
-(* Attempts at different mesh sizes are fully independent — each builds
-   its own mesh and fresh per-use-case resource states — so the growth
-   loop can speculatively evaluate a window of sizes on the shared
-   domain pool and keep the smallest success, reproducing the
-   sequential result (including the Compact-then-Spread retry at each
-   size) exactly. *)
-let speculation_window = 4
-
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
   store : width:int -> height:int -> (t, string) result -> unit;
@@ -526,7 +518,7 @@ let m_attempt_cache_hits = Metrics.counter "map.attempt_cache_hits"
 let m_pruned = Metrics.counter "map.pruned"
 let m_pruned_cached = Metrics.counter "map.pruned_cached"
 
-let map_design ?(config = Config.default) ?(engine = Indexed) ?(parallel = true)
+let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
     ?(prune = true) ?cache ~groups use_cases =
   Metrics.incr m_designs;
   validate_inputs ~groups use_cases;
@@ -596,34 +588,13 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?(parallel = true)
         Metrics.incr m_attempt_failures;
         Error (w, h, compact_msg))
   in
-  let rec sequential attempts = function
+  (* Algorithm 2: the first size that maps wins. *)
+  let rec grow attempts = function
     | [] -> Error { attempts = List.rev attempts }
     | size :: rest -> (
-      match attempt size with Ok t -> Ok t | Error a -> sequential (a :: attempts) rest)
+      match attempt size with Ok t -> Ok t | Error a -> grow (a :: attempts) rest)
   in
-  let rec take n = function
-    | x :: rest when n > 0 ->
-      let wave, beyond = take (n - 1) rest in
-      (x :: wave, beyond)
-    | l -> ([], l)
-  in
-  let rec waves window attempts = function
-    | [] -> Error { attempts = List.rev attempts }
-    | remaining ->
-      let wave, beyond = take window remaining in
-      let results = Noc_util.Domain_pool.run (List.map (fun size () -> attempt size) wave) in
-      let rec scan attempts = function
-        | [] -> waves window attempts beyond
-        | Ok t :: _ -> Ok t (* smallest size first: later wave slots are speculative *)
-        | Error a :: more -> scan (a :: attempts) more
-      in
-      scan attempts results
-  in
-  let window = min (Noc_util.Domain_pool.effective_jobs ()) speculation_window in
-  let solve () =
-    if (not parallel) || window <= 1 then sequential pruned_rev sizes
-    else waves window pruned_rev sizes
-  in
+  let solve () = grow pruned_rev sizes in
   if Tracer.enabled () then
     Tracer.with_span ~cat:"map"
       ~args:

@@ -56,8 +56,8 @@ type attempt_cache = {
     recorded for the exact same problem at that size, and [refuted]
     may only return refutations recorded by a sound feasibility
     certificate for the same problem.  Closures must be safe to call
-    from {!Noc_util.Domain_pool} workers — the speculative size search
-    consults them concurrently. *)
+    from {!Noc_util.Domain_pool} workers — a sweep runs one growth
+    search per pool task. *)
 
 val map_design :
   ?config:Noc_arch.Noc_config.t ->
@@ -73,13 +73,9 @@ val map_design :
     position.  Tries mesh sizes from {!Noc_arch.Mesh.growth_sequence}
     until one maps, or returns every size's failure reason.
 
-    [parallel] (default [true]) evaluates a window of mesh sizes
-    speculatively on the shared {!Noc_util.Domain_pool} workers and
-    keeps the smallest success; the result is identical to the
-    sequential search because each size attempt is deterministic and
-    independent.  Pass [false] (or run with
-    [Noc_util.Domain_pool.set_default_jobs 1]) for a strictly
-    sequential search.
+    The search is always sequential, in growth order, so a one-shot
+    map never spawns worker domains.  [parallel] is ignored; it stays
+    only because the end-to-end benchmark driver passes it.
 
     [prune] (default [true]) skips sizes a {!Feasibility} certificate
     proves infeasible; they are recorded in the failure's [attempts]

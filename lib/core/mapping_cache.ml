@@ -254,13 +254,6 @@ let design_cache ?(config = Config.default) ?(engine = Mapping.Indexed) ~groups 
 
 (* --- cached single-attempt wrappers -------------------------------------- *)
 
-let attempt ?(engine = Mapping.Indexed) ~config ~mesh ~groups use_cases =
-  let compute () = Mapping.map_attempt ~engine ~config ~mesh ~groups use_cases in
-  if not (enabled ()) then compute ()
-  else
-    let digest = problem_digest ~config ~engine ~groups use_cases in
-    cached (digest ^ "|attempt|" ^ mesh_key mesh) compute
-
 let on_mesh ?(bias = Mapping.Compact) ?(engine = Mapping.Indexed) ~config ~mesh ~groups
     use_cases =
   let compute () = Mapping.map_on_mesh ~bias ~engine ~config ~mesh ~groups use_cases in

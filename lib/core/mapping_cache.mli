@@ -68,18 +68,6 @@ val design_cache :
     or [None] when the cache is disabled.  Defaults mirror
     [map_design]'s ({!Noc_arch.Noc_config.default}, [Indexed]). *)
 
-val attempt :
-  ?engine:Mapping.engine ->
-  config:Noc_arch.Noc_config.t ->
-  mesh:Noc_arch.Mesh.t ->
-  groups:int list list ->
-  Noc_traffic.Use_case.t list ->
-  (Mapping.t, string) result
-(** Cached {!Mapping.map_attempt}.  Shares entries with
-    {!design_cache}'s growth loop when [mesh] is a plain grid of the
-    configured topology — the design-space sweep's warm-started size
-    retries hit what the first growth search stored. *)
-
 val on_mesh :
   ?bias:Mapping.placement_bias ->
   ?engine:Mapping.engine ->

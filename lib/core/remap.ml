@@ -153,7 +153,7 @@ let assemble_mapping ~(old_m : Mapping.t) ~n_new ~groups ~clean ~sub_results =
 
 (* --- the remap decision chain ------------------------------------------ *)
 
-let remap_decide ?config ?(mode = Incremental) ?(parallel = true) ?(prune = true) ~old spec =
+let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
   match spec.Design_flow.use_cases with
   | [] -> Error "remap: no use-cases"
   | first :: _ -> (
@@ -225,7 +225,7 @@ let remap_decide ?config ?(mode = Incremental) ?(parallel = true) ?(prune = true
         | Incremental -> Mapping_cache.design_cache ~config ~groups:groups_new all_new
         | Reference -> None
       in
-      match Mapping.map_design ~config ~parallel ~prune ?cache ~groups:groups_new all_new with
+      match Mapping.map_design ~config ~prune ?cache ~groups:groups_new all_new with
       | Ok m -> Ok (finish Regrown m)
       | Error failure ->
         Error (Format.asprintf "%s: %a" spec.Design_flow.name Mapping.pp_failure failure)
@@ -302,8 +302,8 @@ let remap_decide ?config ?(mode = Incremental) ?(parallel = true) ?(prune = true
 (* Decision-path counters are charged on the final verdict only: the
    chain may build a spliced candidate and then discard it at the
    [acceptable] gate, and a discarded candidate is not an outcome. *)
-let remap ?config ?mode ?parallel ?prune ~old spec =
-  let decide () = remap_decide ?config ?mode ?parallel ?prune ~old spec in
+let remap ?config ?mode ?prune ~old spec =
+  let decide () = remap_decide ?config ?mode ?prune ~old spec in
   let result =
     if Tracer.enabled () then
       Tracer.with_span ~cat:"remap"
@@ -322,18 +322,3 @@ let remap ?config ?mode ?parallel ?prune ~old spec =
     Metrics.incr ~by:(List.length o.delta.dirty) m_dirty_groups
   | Error _ -> Metrics.incr m_failures);
   result
-
-let churn ?config ?mode ?parallel ?prune = function
-  | [] -> Error "churn: empty spec sequence"
-  | first :: rest -> (
-    match Design_flow.run ?config ?parallel ?prune first with
-    | Error e -> Error e
-    | Ok d0 ->
-      let rec go prev acc = function
-        | [] -> Ok (d0, List.rev acc)
-        | spec :: more -> (
-          match remap ?config ?mode ?parallel ?prune ~old:prev spec with
-          | Error e -> Error e
-          | Ok o -> go o.design (o :: acc) more)
-      in
-      go d0 [] rest)

@@ -87,7 +87,6 @@ val diff :
 val remap :
   ?config:Noc_arch.Noc_config.t ->
   ?mode:mode ->
-  ?parallel:bool ->
   ?prune:bool ->
   old:Design_flow.t ->
   Design_flow.spec ->
@@ -95,19 +94,7 @@ val remap :
 (** Re-map [spec] against the completed design [old].  [config]
     defaults to the old mapping's; passing a different one forces the
     fallback chain (retained slot tables are only valid under the
-    config that produced them).  [parallel]/[prune] (defaults [true])
-    apply to the growth search of the [Regrown] fallback; [prune] also
-    gates the certificate check that protects the retained mesh.
-    Errors only when the final [Regrown] fallback fails. *)
-
-val churn :
-  ?config:Noc_arch.Noc_config.t ->
-  ?mode:mode ->
-  ?parallel:bool ->
-  ?prune:bool ->
-  Design_flow.spec list ->
-  (Design_flow.t * outcome list, string) result
-(** Fold a spec sequence: the first spec runs the full
-    {!Design_flow.run}, each later one remaps against its
-    predecessor's design.  Returns the initial design and one outcome
-    per subsequent spec. *)
+    config that produced them).  [prune] (default [true]) applies to
+    the growth search of the [Regrown] fallback and also gates the
+    certificate check that protects the retained mesh.  Errors only
+    when the final [Regrown] fallback fails. *)

@@ -57,13 +57,15 @@ let parse_flow ~line rest =
         int_of ~line "flow destination" dst (fun dst ->
             match float_of_string_opt bw with
             | None -> syntax line "bandwidth: expected a number, got '%s'" bw
+            | Some b when not (Float.is_finite b) ->
+              syntax line "bandwidth: expected a finite number, got '%s'" bw
             | Some bw ->
               let rec options latency_ns service = function
                 | [] -> (line, Flow_decl (Flow.v ?latency_ns ~service ~src ~dst bw))
                 | "lat" :: v :: rest -> (
                   match float_of_string_opt v with
-                  | Some v -> options (Some v) service rest
-                  | None -> syntax line "latency: expected a number, got '%s'" v)
+                  | Some l when not (Float.is_nan l) -> options (Some l) service rest
+                  | _ -> syntax line "latency: expected a number, got '%s'" v)
                 | "be" :: rest -> options latency_ns Flow.Best_effort rest
                 | tok :: _ -> syntax line "unknown flow option '%s'" tok
               in

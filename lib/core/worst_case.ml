@@ -30,10 +30,10 @@ let synthetic use_cases =
     let flows = List.sort (fun a b -> compare (Flow.pair a) (Flow.pair b)) flows in
     Use_case.create ~id:0 ~name:"worst-case" ~cores flows
 
-let map_design ?config ?parallel use_cases =
+let map_design ?config use_cases =
   let wc = synthetic use_cases in
   let cache = Mapping_cache.design_cache ?config ~groups:[ [ 0 ] ] [ wc ] in
-  Mapping.map_design ?config ?parallel ?cache ~groups:[ [ 0 ] ] [ wc ]
+  Mapping.map_design ?config ?cache ~groups:[ [ 0 ] ] [ wc ]
 
 let overspecification use_cases =
   let wc = synthetic use_cases in

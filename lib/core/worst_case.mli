@@ -14,12 +14,10 @@ val synthetic : Noc_traffic.Use_case.t list -> Noc_traffic.Use_case.t
 
 val map_design :
   ?config:Noc_arch.Noc_config.t ->
-  ?parallel:bool ->
   Noc_traffic.Use_case.t list ->
   (Mapping.t, Mapping.failure) result
 (** Design the NoC with the WC method: build {!synthetic}, then run
-    the same growth/mapping engine on it alone.  [parallel] as in
-    {!Mapping.map_design}. *)
+    the same growth/mapping engine on it alone. *)
 
 val overspecification : Noc_traffic.Use_case.t list -> float
 (** Ratio of the synthetic use-case's total bandwidth to the largest

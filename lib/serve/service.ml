@@ -65,21 +65,29 @@ let spec_key ?(extra = "") op ~config spec =
   lazy
     (op ^ "|" ^ problem_digest ~config spec ^ "|" ^ text_digest [ Spec_parser.to_text spec ] ^ extra)
 
+(* Lint reports a bad config as its own [config] diagnostic; every
+   other operation would only raise on it, so it is refused here. *)
+let noc_config config =
+  let config = Protocol.to_noc_config config in
+  match Config.validate config with
+  | Ok () -> Ok config
+  | Error msg -> Error (Protocol.Bad_request, "invalid configuration: " ^ msg)
+
 let prepare (op : Protocol.op) =
   let ( let* ) = Result.bind in
   match op with
   | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
     Error (Protocol.Bad_request, "not an executable operation")
   | Protocol.Map { name; spec; config } ->
-    let config = Protocol.to_noc_config config in
+    let* config = noc_config config in
     let* spec = parse_spec ~name spec in
     Ok { key = spec_key "map" ~config spec; kind = Map_k { spec; config } }
   | Protocol.Certify { name; spec; config } ->
-    let config = Protocol.to_noc_config config in
+    let* config = noc_config config in
     let* spec = parse_spec ~name spec in
     Ok { key = spec_key "certify" ~config spec; kind = Certify_k { spec; config } }
   | Protocol.Explore { name; spec; config; frequencies; slot_counts; torus } ->
-    let config = Protocol.to_noc_config config in
+    let* config = noc_config config in
     let* spec = parse_spec ~name spec in
     let axes = axes_of ~frequencies ~slot_counts ~torus in
     let key = spec_key "explore" ~extra:("|" ^ axes_token axes) ~config spec in
@@ -95,7 +103,7 @@ let prepare (op : Protocol.op) =
     in
     Ok { key; kind = Lint_k { doc; config; deep } }
   | Protocol.Remap { from_name; from_spec; to_name; to_spec; config } ->
-    let config = Protocol.to_noc_config config in
+    let* config = noc_config config in
     (* One error code covers both specs: say which one failed. *)
     let parse ~name text =
       Result.map_error (fun (code, msg) -> (code, name ^ ": " ^ msg)) (parse_spec ~name text)
@@ -169,12 +177,12 @@ let plan jobs =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let run ?(parallel = true) ?(prune = true) ?(refine = false) ?post ?(warm = true)
+let run ?(prune = true) ?(refine = false) ?post ?(warm = true)
     ?(reference = false) j =
   let ( let* ) = Result.bind in
   match j.kind with
   | Map_k { spec; config } ->
-    let* d = DF.run ~config ~parallel ~prune ~refine ?post spec in
+    let* d = DF.run ~config ~prune ~refine ?post spec in
     Ok (Payload.Design d)
   | Explore_k { spec; config; axes } ->
     let all, _compounds, groups = DF.expand spec in
@@ -182,14 +190,14 @@ let run ?(parallel = true) ?(prune = true) ?(refine = false) ?post ?(warm = true
   | Lint_k { doc; config; deep } ->
     Ok (Payload.Lint (Noc_analysis.Analyzer.analyze_doc ~config ~deep doc))
   | Certify_k { spec; config } ->
-    let* d = DF.run ~config ~parallel ~prune spec in
+    let* d = DF.run ~config ~prune spec in
     Ok
       (Payload.Certificate
          (Noc_analysis.Certify.certify ~name:spec.DF.name d.DF.mapping d.DF.all_use_cases))
   | Remap_k { old_spec; new_spec; config } ->
-    let* old = DF.run ~config ~parallel ~prune old_spec in
+    let* old = DF.run ~config ~prune old_spec in
     let mode = if reference then Noc_core.Remap.Reference else Noc_core.Remap.Incremental in
-    let* remap = Noc_core.Remap.remap ~config ~mode ~parallel ~prune ~old new_spec in
+    let* remap = Noc_core.Remap.remap ~config ~mode ~prune ~old new_spec in
     Ok (Payload.Remapped { old; remap })
 
 let execute j = Result.map Payload.render (run j)

@@ -43,9 +43,11 @@ val prepare : Protocol.op -> (job, Protocol.error_code * string) result
 (** Parse and validate an executable operation ([Map]/[Explore]/
     [Lint]/[Certify]/[Remap]).  A spec that fails to parse or resolve
     is a [Spec_error] carrying the located message (prefixed with the
-    revision's name for [Remap]).  Control operations ([Ping]/[Stats]/
-    [Shutdown]) are the server's business and return [Bad_request]
-    here. *)
+    revision's name for [Remap]).  A config {!Noc_arch.Noc_config.validate}
+    rejects is a [Bad_request] for every operation but [Lint], which
+    reports it as a [config] diagnostic.  Control operations
+    ([Ping]/[Stats]/[Shutdown]) are the server's business and return
+    [Bad_request] here. *)
 
 val prepare_cached : Protocol.op -> (job, Protocol.error_code * string) result
 (** {!prepare} memoized on a digest of the whole op, with the key
@@ -63,7 +65,6 @@ type plan = {
 val plan : job array -> plan
 
 val run :
-  ?parallel:bool ->
   ?prune:bool ->
   ?refine:bool ->
   ?post:(Noc_core.Design_flow.t -> (unit, string) result) ->
@@ -74,12 +75,11 @@ val run :
 (** Execute one job inline.  [Error] carries the operation's own
     failure (an unmappable spec, say).  The optional arguments are the
     CLI's engine and escape-hatch flags, each defaulting to the
-    daemon's behaviour.  These four change only how the outcome is
-    found, never the outcome: [parallel] (default [true];
-    [--sequential]) speculates mesh sizes on separate domains, [prune]
-    (default [true]; [--no-prune]) skips certified-infeasible sizes,
-    [warm] (default [true]; [--cold]) seeds explore points from solved
-    neighbours, and [reference] (default [false]; [remap --reference])
+    daemon's behaviour.  These three change only how the outcome is
+    found, never the outcome: [prune] (default [true]; [--no-prune])
+    skips certified-infeasible sizes, [warm] (default [true];
+    [--cold]) seeds explore points from solved neighbours, and
+    [reference] (default [false]; [remap --reference])
     runs the naive remap oracle.  [refine] (default [false];
     [map --refine]) adds the annealing refinement and [post] a final
     design-flow phase ([map --certify]); both apply to [map] only. *)

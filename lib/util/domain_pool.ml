@@ -16,7 +16,7 @@ let set_default_jobs n = default_jobs_ref := max 1 n
 let default_jobs () = !default_jobs_ref
 
 (* Workers mark their domain so that a task submitting a nested batch
-   (a sweep point running its own mesh-size speculation, say) degrades
+   (a benchmark figure's task running a [Min_freq] scan, say) degrades
    to an inline sequential run instead of deadlocking on the queue. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
@@ -227,5 +227,3 @@ let map_array ?jobs f xs =
   end
 
 let map ?jobs f xs = Array.to_list (map_array ?jobs f (Array.of_list xs))
-
-let run ?jobs tasks = map ?jobs (fun t -> t ()) tasks

@@ -1,15 +1,17 @@
 (** A process-wide pool of worker domains for embarrassingly parallel
     batches.
 
-    The sweep layers of the design flow (mesh-size speculation,
-    design-space exploration, minimum-frequency grids, benchmark
-    figures) all reduce to "run these independent closures and give me
-    the results in order".  Spawning a [Domain.t] per closure — what the
-    mapping search did before — costs a fresh minor heap and a kernel
-    thread every call; this module instead spawns the workers once per
-    process and feeds them batches through a chunked, atomically-claimed
-    task queue (each participant steals the next unclaimed chunk of
-    indices, so uneven task costs balance out).
+    The sweep layers of the design flow (design-space exploration,
+    minimum-frequency grids, benchmark figures, the daemon's request
+    batches) all reduce to "run these independent closures and give me
+    the results in order".  Spawning a [Domain.t] per closure costs a
+    fresh minor heap and a kernel thread every call; this module
+    instead spawns the workers once per process and feeds them batches
+    through a chunked, atomically-claimed task queue (each participant
+    steals the next unclaimed chunk of indices, so uneven task costs
+    balance out).  The mesh-size growth search itself
+    ({!Noc_core.Mapping.map_design}) is sequential and never submits a
+    batch.
 
     Guarantees:
     - results come back ordered by task index, independent of how the
@@ -17,10 +19,10 @@
     - an exception raised by a task is captured and re-raised in the
       submitter, with the lowest-index failure winning — exactly what a
       left-to-right sequential run of the same closures would raise;
-    - a task that itself submits a batch (e.g. a design-space point
-      whose [Mapping.map_design] wants to speculate over mesh sizes)
-      runs that nested batch inline on its own domain, so the pool never
-      deadlocks and never oversubscribes the machine;
+    - a task that itself submits a batch (e.g. a [Min_freq] probe
+      inside a benchmark figure's pool task) runs that nested batch
+      inline on its own domain, so the pool never deadlocks and never
+      oversubscribes the machine;
     - with one job (or on a single-core machine) everything runs inline
       on the calling domain — no domains are spawned at all. *)
 
@@ -43,10 +45,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array counterpart of {!map}. *)
-
-val run : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** [run tasks] evaluates the closures concurrently, results in task
-    order. *)
 
 val shutdown : unit -> unit
 (** Join the worker domains (registered via [at_exit]; callable

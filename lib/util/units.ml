@@ -14,8 +14,10 @@ let mbps_per_slot ~capacity ~slots = capacity /. float_of_int slots
 let slots_needed ~bw ~capacity ~slots =
   if bw <= 0.0 then 0
   else
-    let per_slot = mbps_per_slot ~capacity ~slots in
-    int_of_float (ceil (bw /. per_slot))
+    let n = ceil (bw /. mbps_per_slot ~capacity ~slots) in
+    (* Saturate: [int_of_float] is unspecified beyond [max_int] (and on
+       NaN), and such a demand is unmeetable by any slot table anyway. *)
+    if n < float_of_int max_int then int_of_float n else max_int
 
 let pp_bandwidth ppf bw = Format.fprintf ppf "%.1f MB/s" bw
 let pp_frequency ppf f = Format.fprintf ppf "%.0f MHz" f

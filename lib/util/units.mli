@@ -30,7 +30,8 @@ val mbps_per_slot : capacity:bandwidth -> slots:int -> bandwidth
 
 val slots_needed : bw:bandwidth -> capacity:bandwidth -> slots:int -> int
 (** Number of TDMA slots needed to carry [bw] on a link of [capacity]
-    divided into [slots] slots; at least 1 for a non-zero [bw]. *)
+    divided into [slots] slots; at least 1 for a non-zero [bw].
+    Saturates at [max_int] for a demand too large (or NaN) to count. *)
 
 val pp_bandwidth : Format.formatter -> bandwidth -> unit
 val pp_frequency : Format.formatter -> frequency -> unit

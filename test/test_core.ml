@@ -388,6 +388,42 @@ let test_mapping_failure_reports_attempts () =
   | Error f ->
     Alcotest.(check bool) "attempts recorded" true (List.length f.Mapping.attempts >= 3)
 
+(* A bandwidth beyond any countable slot demand must fail as
+   infeasible at every size, pruned or not, rather than raise. *)
+let test_mapping_huge_bandwidth_infeasible () =
+  let config = { Config.default with nis_per_switch = 1; max_mesh_dim = 3 } in
+  let ucs = [ uc ~id:0 ~cores:2 [ Flow.v ~src:0 ~dst:1 1e300 ] ] in
+  List.iter
+    (fun prune ->
+      match Mapping.map_design ~config ~prune ~groups:[ [ 0 ] ] ucs with
+      | Ok _ -> Alcotest.fail "should be infeasible"
+      | Error f -> Alcotest.(check bool) "attempts recorded" true (f.Mapping.attempts <> []))
+    [ true; false ]
+
+(* The growth search tries one size at a time even when the pool has
+   several domains: every attempt but the successful last one failed. *)
+let test_growth_attempts_sequential () =
+  let module Metrics = Noc_obs.Metrics in
+  let module MC = Noc_core.Mapping_cache in
+  let module Pool = Noc_util.Domain_pool in
+  let attempts = Metrics.counter "map.attempts" in
+  let failures = Metrics.counter "map.attempt_failures" in
+  let jobs = Pool.default_jobs () and cache = MC.enabled () in
+  Pool.set_default_jobs 2;
+  MC.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_default_jobs jobs;
+      MC.set_enabled cache)
+    (fun () ->
+      let a0 = Metrics.counter_value attempts and f0 = Metrics.counter_value failures in
+      (match DF.run (DF.spec_of_use_cases ~name:"d2" (Noc_benchkit.Soc_designs.d2 ())) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check int) "attempts = failures + 1"
+        (Metrics.counter_value failures - f0 + 1)
+        (Metrics.counter_value attempts - a0))
+
 let test_map_with_placement_fixed () =
   let mesh = Mesh.create ~width:2 ~height:1 in
   let ucs = [ uc ~id:0 ~cores:2 [ Flow.v ~src:0 ~dst:1 100.0 ] ] in
@@ -713,6 +749,22 @@ let test_spec_parse_errors_carry_lines () =
   expect_error_on_line "cores 4\nuse-case a\nparallel a b\n" 3
 (* unknown use-case name *)
 
+(* Non-finite numbers are located parse errors, not values that crash
+   or silently poison the flow later; an unbounded latency is legal. *)
+let test_spec_parse_non_finite () =
+  let flow opts = Printf.sprintf "cores 4\nuse-case a\n  flow 0 -> 1 %s\n" opts in
+  List.iter
+    (fun opts ->
+      match Spec_parser.parse ~name:"e" (flow opts) with
+      | Ok _ -> Alcotest.failf "'%s' should not parse" opts
+      | Error e -> Alcotest.(check int) (opts ^ ": error line") 3 e.Spec_parser.line)
+    [ "bw nan"; "bw inf"; "bw -inf"; "bw 5 lat nan" ];
+  match Spec_parser.parse ~name:"e" (flow "bw 5 lat inf") with
+  | Ok spec ->
+    let f = List.hd (List.hd spec.DF.use_cases).U.flows in
+    Alcotest.(check bool) "lat inf is unconstrained" true (f.Flow.latency_ns = infinity)
+  | Error _ -> Alcotest.fail "lat inf should parse"
+
 let test_spec_parse_missing_cores () =
   match Spec_parser.parse ~name:"e" "use-case a\n  flow 0 -> 1 bw 5\n" with
   | Ok _ -> Alcotest.fail "should not parse"
@@ -854,6 +906,9 @@ let () =
           Alcotest.test_case "positional ids" `Quick test_mapping_positional_id_enforced;
           Alcotest.test_case "group partition" `Quick test_mapping_group_partition_enforced;
           Alcotest.test_case "failure attempts" `Quick test_mapping_failure_reports_attempts;
+          Alcotest.test_case "huge bandwidth infeasible" `Quick
+            test_mapping_huge_bandwidth_infeasible;
+          Alcotest.test_case "one attempt per tried size" `Quick test_growth_attempts_sequential;
           Alcotest.test_case "fixed placement" `Quick test_map_with_placement_fixed;
           Alcotest.test_case "fixed placement rejects unplaced" `Quick test_map_with_placement_rejects_unplaced;
           Alcotest.test_case "flow-less cores placed" `Quick test_mapping_flowless_cores_get_nis;
@@ -892,6 +947,7 @@ let () =
           Alcotest.test_case "runs through the flow" `Quick test_spec_parse_runs_through_flow;
           Alcotest.test_case "errors carry lines" `Quick test_spec_parse_errors_carry_lines;
           Alcotest.test_case "missing cores" `Quick test_spec_parse_missing_cores;
+          Alcotest.test_case "non-finite numbers located" `Quick test_spec_parse_non_finite;
           Alcotest.test_case "round trip" `Quick test_spec_roundtrip;
         ] );
       ( "design_flow",

@@ -1,8 +1,7 @@
 (* Determinism regression: the indexed/bitset mapping engine (worklist
-   heaps, pending index, rotate-and-AND slot intersection) and the
-   parallel mesh-size search must produce byte-identical designs to the
-   straightforward Reference formulation — the reproduction tables in
-   EXPERIMENTS.md depend on it. *)
+   heaps, pending index, rotate-and-AND slot intersection) must produce
+   byte-identical designs to the straightforward Reference formulation
+   — the reproduction tables in EXPERIMENTS.md depend on it. *)
 
 module Mapping = Noc_core.Mapping
 module Route = Noc_arch.Route
@@ -28,25 +27,16 @@ let fingerprint (m : Mapping.t) =
     m.Mapping.routes;
   Buffer.contents b
 
-let design ~engine ~parallel ~groups ucs =
-  match Mapping.map_design ~engine ~parallel ~groups ucs with
+let design ~engine ~groups ucs =
+  match Mapping.map_design ~engine ~groups ucs with
   | Ok m -> fingerprint m
   | Error f -> Format.asprintf "FAILED: %a" Mapping.pp_failure f
 
 let check_workload name ~groups ucs () =
-  let reference = design ~engine:Mapping.Reference ~parallel:false ~groups ucs in
   Alcotest.(check string)
-    (name ^ ": indexed sequential = reference")
-    reference
-    (design ~engine:Mapping.Indexed ~parallel:false ~groups ucs);
-  Alcotest.(check string)
-    (name ^ ": indexed parallel = reference")
-    reference
-    (design ~engine:Mapping.Indexed ~parallel:true ~groups ucs);
-  Alcotest.(check string)
-    (name ^ ": reference parallel = reference")
-    reference
-    (design ~engine:Mapping.Reference ~parallel:true ~groups ucs)
+    (name ^ ": indexed = reference")
+    (design ~engine:Mapping.Reference ~groups ucs)
+    (design ~engine:Mapping.Indexed ~groups ucs)
 
 let singleton_groups ucs = List.mapi (fun i _ -> [ i ]) ucs
 

@@ -252,22 +252,18 @@ let test_infeasible_delta_agrees () =
   Alcotest.(check bool) "incremental rejects" true (Result.is_error inc);
   Alcotest.(check bool) "reference rejects" true (Result.is_error reference)
 
+(* A spec sequence folded through the remapper: each step remaps
+   against its predecessor's design. *)
 let test_churn_driver () =
   let spec0 = spec3 ~seed:46 in
   let s1 = scale_uc 1 0.8 spec0 in
   let s2 = remove_uc 0 s1 in
-  match with_cache false (fun () -> Remap.churn [ spec0; s1; s2 ]) with
-  | Error e -> Alcotest.failf "churn failed: %s" e
-  | Ok (d0, outcomes) ->
-    Alcotest.(check int) "one outcome per later spec" 2 (List.length outcomes);
-    Alcotest.(check string) "initial design matches a direct run"
-      (encode_exn (must_run spec0).DF.mapping)
-      (encode_exn d0.DF.mapping);
-    (match outcomes with
-    | [ o1; o2 ] ->
+  with_cache false (fun () ->
+      let d0 = must_run spec0 in
+      let o1 = remap_exn ~old:d0 s1 in
+      let o2 = remap_exn ~old:o1.Remap.design s2 in
       Alcotest.(check string) "first step is a delta" "delta:1" (path_tag o1);
-      Alcotest.(check string) "second step is a pure removal" "reused" (path_tag o2)
-    | _ -> Alcotest.fail "unexpected outcome count")
+      Alcotest.(check string) "second step is a pure removal" "reused" (path_tag o2))
 
 let test_cache_memoizes_across_churn () =
   with_cache true (fun () ->

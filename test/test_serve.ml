@@ -258,6 +258,75 @@ let test_prepare_rejects () =
   | Error (P.Bad_request, _) -> ()
   | _ -> Alcotest.fail "control op accepted as executable"
 
+(* Every executable op over one spec text and config. *)
+let all_ops ~name ~config text =
+  [
+    map_op ~config name text;
+    P.Certify { name; spec = text; config };
+    P.Explore { name; spec = text; config; frequencies = None; slot_counts = None; torus = false };
+    P.Remap { from_name = name; from_spec = text; to_name = name; to_spec = text; config };
+    P.Lint { name; spec = text; config; deep = false };
+  ]
+
+let is_lint = function P.Lint _ -> true | _ -> false
+
+(* A config the engine would raise on is a bad request, not an
+   internal error; lint keeps reporting it as a [config] diagnostic. *)
+let test_prepare_invalid_config () =
+  let text = Lazy.force d1_text in
+  let d = P.default_config in
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun op ->
+          match (Service.prepare op, is_lint op) with
+          | Error (P.Bad_request, msg), false ->
+            Alcotest.(check bool) (what ^ ": says why") true
+              (contains_sub msg "invalid configuration")
+          | Ok job, true -> (
+            match Service.run job with
+            | Ok (Payload.Lint r) ->
+              Alcotest.(check bool) (what ^ ": lint config error") true
+                (List.exists
+                   (fun (dg : Noc_analysis.Diagnostic.t) -> dg.pass = "config")
+                   r.Noc_analysis.Analyzer.diagnostics)
+            | _ -> Alcotest.failf "%s: lint did not report" what)
+          | Error (code, _), _ -> Alcotest.failf "%s: wrong code %s" what (P.error_code_to_string code)
+          | Ok _, _ -> Alcotest.failf "%s: accepted" what)
+        (all_ops ~name:"d1" ~config text))
+    [
+      ("slots 0", { d with P.slots = 0 });
+      ("freq 0", { d with P.freq_mhz = 0.0 });
+      ("freq inf", { d with P.freq_mhz = infinity });
+      ("freq nan", { d with P.freq_mhz = nan });
+      ("nis 0", { d with P.nis_per_switch = 0 });
+    ]
+
+(* Non-finite flow numbers are located spec errors for every op (lint
+   reports the same located [syntax] error). *)
+let test_prepare_non_finite_flows () =
+  List.iter
+    (fun opts ->
+      let text = Printf.sprintf "name t\ncores 4\nuse-case a\n  flow 0 -> 1 %s\n" opts in
+      List.iter
+        (fun op ->
+          match (Service.prepare op, is_lint op) with
+          | Error (P.Spec_error, msg), false ->
+            Alcotest.(check bool) (opts ^ ": located on line 4") true (contains_sub msg "line 4")
+          | Ok job, true -> (
+            match Service.run job with
+            | Ok (Payload.Lint r) ->
+              Alcotest.(check bool) (opts ^ ": lint syntax error on line 4") true
+                (List.exists
+                   (fun (dg : Noc_analysis.Diagnostic.t) ->
+                     dg.pass = "syntax" && dg.line = Some 4)
+                   r.Noc_analysis.Analyzer.diagnostics)
+            | _ -> Alcotest.failf "%s: lint did not report" opts)
+          | Error (code, _), _ -> Alcotest.failf "%s: wrong code %s" opts (P.error_code_to_string code)
+          | Ok _, _ -> Alcotest.failf "%s: accepted" opts)
+        (all_ops ~name:"t" ~config:P.default_config text))
+    [ "bw nan"; "bw inf"; "bw 5 lat nan" ]
+
 (* --- live daemon ----------------------------------------------------------- *)
 
 let socket_path name =
@@ -499,6 +568,15 @@ let test_bad_requests () =
     | P.Failure { code; _ } ->
       Alcotest.failf "expected spec-error, got %s" (P.error_code_to_string code)
     | P.Result _ -> Alcotest.fail "garbage spec mapped");
+    (* A config the engine would raise on is refused up front. *)
+    (match
+       request_exn conn
+         (map_op ~config:{ P.default_config with slots = 0 } "d1" (Lazy.force d1_text))
+     with
+    | P.Failure { code = P.Bad_request; _ } -> ()
+    | P.Failure { code; _ } ->
+      Alcotest.failf "expected bad-request, got %s" (P.error_code_to_string code)
+    | P.Result _ -> Alcotest.fail "zero-slot config mapped");
     (* An unmappable (but well-formed) problem is an exec error. *)
     (* A 16-core chain of link-saturating flows: the co-location
        closure exceeds one switch's NIs, so every mesh size is
@@ -572,6 +650,8 @@ let () =
           Alcotest.test_case "unexpandable specs rejected" `Quick
             test_prepare_unexpandable;
           Alcotest.test_case "prepare rejects garbage" `Quick test_prepare_rejects;
+          Alcotest.test_case "invalid configs rejected" `Quick test_prepare_invalid_config;
+          Alcotest.test_case "non-finite flows rejected" `Quick test_prepare_non_finite_flows;
         ] );
       ( "daemon",
         [

@@ -134,6 +134,15 @@ let test_slots_needed () =
   Alcotest.(check int) "just over" 2 (Units.slots_needed ~bw:62.6 ~capacity:2000.0 ~slots:32);
   Alcotest.(check int) "full link" 32 (Units.slots_needed ~bw:2000.0 ~capacity:2000.0 ~slots:32)
 
+(* Beyond [max_int] slots [int_of_float] is unspecified; the count
+   saturates so the demand stays unmeetable. *)
+let test_slots_needed_saturates () =
+  let needed bw = Units.slots_needed ~bw ~capacity:2000.0 ~slots:32 in
+  Alcotest.(check int) "1e300" max_int (needed 1e300);
+  Alcotest.(check int) "inf" max_int (needed infinity);
+  Alcotest.(check int) "nan" max_int (needed nan);
+  Alcotest.(check int) "large but countable" 16_000_000_000 (needed 1e12)
+
 (* --- Numeric --------------------------------------------------------- *)
 
 let test_mean () =
@@ -284,6 +293,7 @@ let () =
           Alcotest.test_case "cycle ns" `Quick test_cycle_ns;
           Alcotest.test_case "per-slot bandwidth" `Quick test_mbps_per_slot;
           Alcotest.test_case "slots needed" `Quick test_slots_needed;
+          Alcotest.test_case "slots needed saturates" `Quick test_slots_needed_saturates;
         ] );
       ( "numeric",
         [
