@@ -491,8 +491,7 @@ let map_with_placement ?(engine = Indexed) ~config ~mesh ~groups ~placement use_
 (* One mesh-size attempt of the growth loop: greedy Compact placement,
    then the cheap whole-attempt backtrack to Spread (co-location
    sometimes saturates one region that an emptier spread survives).
-   Exposed so the design-space sweep can warm-start a point by retrying
-   a known-good size directly. *)
+   Exposed for the certificate soundness tests. *)
 let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
   match map_on_mesh ~bias:Compact ~engine ~config ~mesh ~groups use_cases with
   | Ok t -> Ok t
@@ -504,8 +503,6 @@ let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
   store : width:int -> height:int -> (t, string) result -> unit;
-  refuted : width:int -> height:int -> string option;
-  record_refuted : width:int -> height:int -> string -> unit;
 }
 
 module Tracer = Noc_obs.Tracer
@@ -516,51 +513,31 @@ let m_attempts = Metrics.counter "map.attempts"
 let m_attempt_failures = Metrics.counter "map.attempt_failures"
 let m_attempt_cache_hits = Metrics.counter "map.attempt_cache_hits"
 let m_pruned = Metrics.counter "map.pruned"
-let m_pruned_cached = Metrics.counter "map.pruned_cached"
 
 let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
-    ?(prune = true) ?cache ~groups use_cases =
+    ?(prune = true) ?cache ?seeded ~groups use_cases =
   Metrics.incr m_designs;
   validate_inputs ~groups use_cases;
   (match Config.validate config with Ok () -> () | Error m -> invalid_arg m);
+  (* Certificate pruning: every bound is monotone along the growth
+     order, so the sizes the certificate rejects form a prefix of it.
+     Only that prefix is explained, and it is recorded as failed
+     attempts without running placement or routing.  Every pruned size
+     would have failed (the bounds are sound), so the first success —
+     and hence the result — is exactly the unpruned one. *)
+  let rec skip_rejected cert pruned = function
+    | (w, h) :: rest as kept -> (
+      match Feasibility.explain cert ~width:w ~height:h with
+      | Some why ->
+        Metrics.incr m_pruned;
+        skip_rejected cert ((w, h, "statically infeasible: " ^ why) :: pruned) rest
+      | None -> (pruned, kept))
+    | [] -> (pruned, [])
+  in
   let sizes = Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim in
-  (* Certificate pruning: sizes a static bound proves infeasible are
-     recorded as failed attempts without running placement or routing.
-     Every pruned size would have failed (Feasibility's bounds are
-     sound), so the first success — and hence the result — is exactly
-     the unpruned one.  Refutations are also replayed from (and
-     recorded into) the result cache when one is attached: since only
-     sound certificates ever record them, skipping a cached-refuted
-     size is equally result-preserving, even under [~prune:false]. *)
-  let cached_refutation (w, h) =
-    match cache with Some c -> c.refuted ~width:w ~height:h | None -> None
-  in
-  let record_refutation (w, h) why =
-    match cache with Some c -> c.record_refuted ~width:w ~height:h why | None -> ()
-  in
   let pruned_rev, sizes =
-    if (not prune) && cache = None then ([], sizes)
-    else begin
-      let cert = lazy (Feasibility.certify ~config ~groups use_cases) in
-      List.fold_left
-        (fun (pruned, kept) (w, h) ->
-          match cached_refutation (w, h) with
-          | Some why ->
-            Metrics.incr m_pruned_cached;
-            ((w, h, why) :: pruned, kept)
-          | None ->
-            if not prune then (pruned, (w, h) :: kept)
-            else (
-              match Feasibility.explain (Lazy.force cert) ~width:w ~height:h with
-              | Some why ->
-                let why = "statically infeasible: " ^ why in
-                record_refutation (w, h) why;
-                Metrics.incr m_pruned;
-                ((w, h, why) :: pruned, kept)
-              | None -> (pruned, (w, h) :: kept)))
-        ([], []) sizes
-      |> fun (pruned, kept) -> (pruned, List.rev kept)
-    end
+    if prune then skip_rejected (Feasibility.certify ~config ~groups use_cases) [] sizes
+    else ([], sizes)
   in
   let attempt (w, h) =
     match (match cache with Some c -> c.lookup ~width:w ~height:h | None -> None) with
@@ -588,11 +565,15 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
         Metrics.incr m_attempt_failures;
         Error (w, h, compact_msg))
   in
-  (* Algorithm 2: the first size that maps wins. *)
+  (* Algorithm 2: the first size that maps wins.  A [seeded] mapping
+     stands in for the size's attempt. *)
   let rec grow attempts = function
     | [] -> Error { attempts = List.rev attempts }
-    | size :: rest -> (
-      match attempt size with Ok t -> Ok t | Error a -> grow (a :: attempts) rest)
+    | ((w, h) as size) :: rest -> (
+      match Option.bind seeded (fun f -> f ~width:w ~height:h) with
+      | Some t -> Ok t
+      | None -> (
+        match attempt size with Ok t -> Ok t | Error a -> grow (a :: attempts) rest))
   in
   let solve () = grow pruned_rev sizes in
   if Tracer.enabled () then

@@ -46,18 +46,14 @@ type engine =
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
   store : width:int -> height:int -> (t, string) result -> unit;
-  refuted : width:int -> height:int -> string option;
-  record_refuted : width:int -> height:int -> string -> unit;
 }
 (** Memoization hooks for the growth loop, one mesh size at a time
     (see {!Mapping_cache.design_cache}, which builds them over the
     process-wide store).  The contract that keeps cached and fresh
     runs byte-identical: [lookup] may only return what a prior [store]
-    recorded for the exact same problem at that size, and [refuted]
-    may only return refutations recorded by a sound feasibility
-    certificate for the same problem.  Closures must be safe to call
-    from {!Noc_util.Domain_pool} workers — a sweep runs one growth
-    search per pool task. *)
+    recorded for the exact same problem at that size.  Closures must
+    be safe to call from {!Noc_util.Domain_pool} workers — a sweep
+    runs one growth search per pool task. *)
 
 val map_design :
   ?config:Noc_arch.Noc_config.t ->
@@ -65,6 +61,7 @@ val map_design :
   ?parallel:bool ->
   ?prune:bool ->
   ?cache:attempt_cache ->
+  ?seeded:(width:int -> height:int -> t option) ->
   groups:int list list ->
   Noc_traffic.Use_case.t list ->
   (t, failure) result
@@ -77,19 +74,27 @@ val map_design :
     map never spawns worker domains.  [parallel] is ignored; it stays
     only because the end-to-end benchmark driver passes it.
 
-    [prune] (default [true]) skips sizes a {!Feasibility} certificate
-    proves infeasible; they are recorded in the failure's [attempts]
-    as ["statically infeasible: ..."] without running placement or
-    routing.  Because the certificate's bounds are sound the result is
-    identical either way ([false] is the [--no-prune] escape hatch).
+    [prune] (default [true]) issues a {!Feasibility} certificate and
+    skips the growth-order prefix of sizes it rejects (its bounds are
+    monotone along the growth order, so the rejected sizes are exactly
+    a prefix); they are recorded in the failure's [attempts] as
+    ["statically infeasible: ..."] without running placement or
+    routing, and later sizes are attempted without being checked.
+    Because the certificate's bounds are sound the result is identical
+    either way ([false] is the [--no-prune] escape hatch: every size is
+    attempted).
 
     [cache] memoizes the loop per mesh size: hits replay the recorded
     attempt (success or failure) without running placement or routing,
-    misses are stored after computing, and certificate refutations are
-    both recorded and replayed — so even a [~prune:false] run skips
-    sizes an earlier pruned run proved infeasible.  The designed NoC is
+    and misses are stored after computing.  The designed NoC is
     byte-identical with and without a cache (property-tested in
-    [test/test_cache.ml]). *)
+    [test/test_cache.ml]).
+
+    [seeded] is tried before the normal attempt at every size the
+    certificate admits; a [Some] result is taken as that size's
+    mapping.  The design-space sweep passes a retry of a neighbouring
+    point's placement at the neighbour's size (and [None] elsewhere),
+    so a warm start walks exactly the sizes a cold search does. *)
 
 type placement_bias =
   | Compact  (** prefer co-locating near the traffic (default) *)
@@ -118,9 +123,8 @@ val map_attempt :
   (t, string) result
 (** One mesh-size attempt exactly as the growth loop runs it: greedy
     [Compact] placement first, then the [Spread] backtrack, returning
-    the compact attempt's error when both fail.  This is the unit the
-    design-space sweep warm-starts: retry a known-good size directly
-    before falling back to the full growth search. *)
+    the compact attempt's error when both fail.  Exposed for the
+    certificate soundness tests. *)
 
 val map_with_placement :
   ?engine:engine ->

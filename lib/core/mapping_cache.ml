@@ -62,11 +62,11 @@ let kind_token = function Mesh.Mesh -> "mesh" | Mesh.Torus -> "torus"
    (IEEE bits, no formatting), and cheap — this digest runs once per
    attempt on sweep hot paths, where a Printf-based rendering was
    slower than the cache hit it keyed. *)
-let problem_digest ~config ~engine ~groups use_cases =
+let problem_digest ~config ~groups use_cases =
   let b = Buffer.create 4096 in
   let add_i i = Buffer.add_int64_le b (Int64.of_int i) in
   let add_f x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-  Buffer.add_string b "nocmap-problem 2";
+  Buffer.add_string b "nocmap-problem 3";
   add_f config.Config.freq_mhz;
   add_i config.Config.link_width_bits;
   add_i config.Config.slots;
@@ -78,7 +78,6 @@ let problem_digest ~config ~engine ~groups use_cases =
   add_i (match config.Config.topology with Mesh.Mesh -> 0 | Mesh.Torus -> 1);
   add_f config.Config.placement_hw_factor;
   add_f config.Config.placement_spread_factor;
-  add_i (match engine with Mapping.Indexed -> 0 | Mapping.Reference -> 1);
   add_i (List.length groups);
   List.iter
     (fun g ->
@@ -226,14 +225,11 @@ let cached key compute =
 let attempt_key digest ~topology ~width ~height =
   digest ^ "|attempt|" ^ grid_key ~topology ~width ~height
 
-let refuted_key digest ~topology ~width ~height =
-  digest ^ "|refuted|" ^ grid_key ~topology ~width ~height
-
-let design_cache ?(config = Config.default) ?(engine = Mapping.Indexed) ~groups use_cases =
+let design_cache ?(config = Config.default) ~groups use_cases =
   if not (enabled ()) then None
   else begin
     let s = force_store () in
-    let digest = problem_digest ~config ~engine ~groups use_cases in
+    let digest = problem_digest ~config ~groups use_cases in
     let topology = config.Config.topology in
     Some
       {
@@ -243,33 +239,24 @@ let design_cache ?(config = Config.default) ?(engine = Mapping.Indexed) ~groups 
         store =
           (fun ~width ~height result ->
             store_result s (attempt_key digest ~topology ~width ~height) result);
-        refuted =
-          (fun ~width ~height ->
-            Result_cache.find s (refuted_key digest ~topology ~width ~height));
-        record_refuted =
-          (fun ~width ~height why ->
-            Result_cache.add s (refuted_key digest ~topology ~width ~height) why);
       }
   end
 
 (* --- cached single-attempt wrappers -------------------------------------- *)
 
-let on_mesh ?(bias = Mapping.Compact) ?(engine = Mapping.Indexed) ~config ~mesh ~groups
-    use_cases =
-  let compute () = Mapping.map_on_mesh ~bias ~engine ~config ~mesh ~groups use_cases in
+let on_mesh ?(bias = Mapping.Compact) ~config ~mesh ~groups use_cases =
+  let compute () = Mapping.map_on_mesh ~bias ~config ~mesh ~groups use_cases in
   if not (enabled ()) then compute ()
   else
-    let digest = problem_digest ~config ~engine ~groups use_cases in
+    let digest = problem_digest ~config ~groups use_cases in
     let bias_tok = match bias with Mapping.Compact -> "compact" | Mapping.Spread -> "spread" in
     cached (digest ^ "|on_mesh|" ^ bias_tok ^ "|" ^ mesh_key mesh) compute
 
-let with_placement ?(engine = Mapping.Indexed) ~config ~mesh ~groups ~placement use_cases =
-  let compute () =
-    Mapping.map_with_placement ~engine ~config ~mesh ~groups ~placement use_cases
-  in
+let with_placement ~config ~mesh ~groups ~placement use_cases =
+  let compute () = Mapping.map_with_placement ~config ~mesh ~groups ~placement use_cases in
   if not (enabled ()) then compute ()
   else
-    let digest = problem_digest ~config ~engine ~groups use_cases in
+    let digest = problem_digest ~config ~groups use_cases in
     let pl =
       Digest.to_hex
         (Digest.string

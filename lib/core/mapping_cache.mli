@@ -8,16 +8,16 @@
     cache directory is attached).
 
     The key is a canonical digest of the exact problem: every
-    {!Noc_arch.Noc_config} knob, the engine, the smooth-switching
-    groups and each use-case's flows (src, dst, hex-exact bandwidth and
-    latency, service class) in order.  Use-case and flow {e names} are
-    excluded — renaming traffic does not change the mapping problem.
-    Successes are stored through {!Mapping_codec} (byte-exact
+    {!Noc_arch.Noc_config} knob, the smooth-switching groups and each
+    use-case's flows (src, dst, hex-exact bandwidth and latency,
+    service class) in order.  Use-case and flow {e names} are excluded
+    — renaming traffic does not change the mapping problem — and so is
+    the {!Mapping.engine}, because both engines produce byte-identical
+    results.  Successes are stored through {!Mapping_codec} (byte-exact
     round-trip); failures are stored as their message, per mesh size,
-    so a size that cannot map is never re-attempted; feasibility
-    refutations (PR 4's certificates) are stored separately so even a
-    [--no-prune] run skips sizes a pruned run already proved
-    infeasible.
+    so a size that cannot map is never re-attempted.  Sizes a
+    feasibility certificate rejects are never stored: the growth loop
+    re-derives them from the certificate on every run.
 
     Policy: the in-memory tier is on by default ([--no-cache] turns it
     off); the disk tier only exists once {!set_dir} is called
@@ -52,7 +52,6 @@ val clear : unit -> unit
 
 val problem_digest :
   config:Noc_arch.Noc_config.t ->
-  engine:Mapping.engine ->
   groups:int list list ->
   Noc_traffic.Use_case.t list ->
   string
@@ -60,17 +59,15 @@ val problem_digest :
 
 val design_cache :
   ?config:Noc_arch.Noc_config.t ->
-  ?engine:Mapping.engine ->
   groups:int list list ->
   Noc_traffic.Use_case.t list ->
   Mapping.attempt_cache option
 (** Hooks for {!Mapping.map_design}'s growth loop over this problem,
-    or [None] when the cache is disabled.  Defaults mirror
-    [map_design]'s ({!Noc_arch.Noc_config.default}, [Indexed]). *)
+    or [None] when the cache is disabled.  [config] defaults to
+    [map_design]'s ({!Noc_arch.Noc_config.default}). *)
 
 val on_mesh :
   ?bias:Mapping.placement_bias ->
-  ?engine:Mapping.engine ->
   config:Noc_arch.Noc_config.t ->
   mesh:Noc_arch.Mesh.t ->
   groups:int list list ->
@@ -79,7 +76,6 @@ val on_mesh :
 (** Cached {!Mapping.map_on_mesh} (keyed by bias as well). *)
 
 val with_placement :
-  ?engine:Mapping.engine ->
   config:Noc_arch.Noc_config.t ->
   mesh:Noc_arch.Mesh.t ->
   groups:int list list ->

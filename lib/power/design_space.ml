@@ -54,14 +54,14 @@ let infeasible ~freq ~slots ~topology =
   ( { freq_mhz = freq; slots; topology; switches = None; area_mm2 = None; power_mw = None; start = Cold },
     None )
 
-(* Warm start: the growth search still walks every size below the
-   seed's (so the result stays the smallest feasible size the cold
-   search would find), but the seed size itself is retried with the
-   neighbour's placement — routing only, no placement search — before
-   the normal Compact/Spread attempt.  Flat regions of the sweep, where
-   neighbouring points land on the same mesh, skip the whole placement
-   search; when the seeded retry fails the point degrades to the exact
-   cold behaviour from that size onward. *)
+(* Warm start: the point runs the normal growth search, whose
+   [seeded] hook retries the neighbour's placement at the neighbour's
+   size — routing only, no placement search — before the normal
+   Compact/Spread attempt there.  Every smaller size is still attempted
+   (so the result stays the smallest feasible size the cold search
+   would find); flat regions of the sweep, where neighbouring points
+   land on the same mesh, skip the whole placement search, and a
+   failed retry degrades to the exact cold behaviour. *)
 let solve_point ~config ~groups ~use_cases ~prune ~freq ~slots ~topology seed_opt =
   let cfg = { config with Config.freq_mhz = freq; slots; topology } in
   (* Seeds inherited from a sweep over a different spec are only valid
@@ -74,79 +74,27 @@ let solve_point ~config ~groups ~use_cases ~prune ~freq ~slots ~topology seed_op
       None
     | s -> s
   in
-  (* One cache handle per point: the problem digest is computed once
-     and shared by every size attempt below. *)
-  let cache = Noc_core.Mapping_cache.design_cache ~config:cfg ~groups use_cases in
-  let cold () =
-    match Mapping.map_design ~config:cfg ~prune ?cache ~groups use_cases with
-    | Ok m -> point_of_mapping ~freq ~slots ~topology ~start:Cold m
-    | Error _ -> infeasible ~freq ~slots ~topology
+  let warm = ref false in
+  let seeded seed ~width ~height =
+    if width <> seed.w || height <> seed.h then None
+    else
+      let mesh = Mesh.create_kind ~kind:topology ~width ~height in
+      match
+        Noc_core.Mapping_cache.with_placement ~config:cfg ~mesh ~groups
+          ~placement:seed.placement use_cases
+      with
+      | Ok m ->
+        warm := true;
+        Some m
+      | Error _ -> None
   in
-  match seed_opt with
-  | None -> cold ()
-  | Some seed -> (
-    (* The certificate depends on this point's frequency/slot knobs, so
-       it is issued per point; sizes it rejects would fail their
-       attempt, so skipping them preserves the cold search's result. *)
-    let admits =
-      if not prune then fun _ -> true
-      else begin
-        let cert = Noc_core.Feasibility.certify ~config:cfg ~groups use_cases in
-        fun (w, h) -> Noc_core.Feasibility.admits cert ~width:w ~height:h
-      end
-    in
-    let sizes = Mesh.growth_sequence ~max_dim:cfg.Config.max_mesh_dim in
-    let smaller = List.filter (fun (w, h) -> w * h < seed.w * seed.h) sizes in
-    let fresh_attempt (w, h) =
-      let mesh = Mesh.create_kind ~kind:topology ~width:w ~height:h in
-      Mapping.map_attempt ~config:cfg ~mesh ~groups use_cases
-    in
-    let attempt (w, h) =
-      match cache with
-      | None -> fresh_attempt (w, h)
-      | Some c -> (
-        match c.Mapping.lookup ~width:w ~height:h with
-        | Some result -> result
-        | None ->
-          let result = fresh_attempt (w, h) in
-          c.Mapping.store ~width:w ~height:h result;
-          result)
-    in
-    let rec below = function
-      | [] ->
-        (* every smaller size failed: retry the seed's size with the
-           neighbour's placement, then cold from the seed size up *)
-        let seeded () =
-          if not (admits (seed.w, seed.h)) then Error ()
-          else
-            let mesh = Mesh.create_kind ~kind:topology ~width:seed.w ~height:seed.h in
-            match
-              Noc_core.Mapping_cache.with_placement ~config:cfg ~mesh ~groups
-                ~placement:seed.placement use_cases
-            with
-            | Ok m -> Ok m
-            | Error _ -> Error ()
-        in
-        (match seeded () with
-        | Ok m -> point_of_mapping ~freq ~slots ~topology ~start:Warm m
-        | Error () ->
-          let rest = List.filter (fun (w, h) -> w * h >= seed.w * seed.h) sizes in
-          let rec upward = function
-            | [] -> infeasible ~freq ~slots ~topology
-            | size :: more when not (admits size) -> upward more
-            | size :: more -> (
-              match attempt size with
-              | Ok m -> point_of_mapping ~freq ~slots ~topology ~start:Cold m
-              | Error _ -> upward more)
-          in
-          upward rest)
-      | size :: more when not (admits size) -> below more
-      | size :: more -> (
-        match attempt size with
-        | Ok m -> point_of_mapping ~freq ~slots ~topology ~start:Cold m
-        | Error _ -> below more)
-    in
-    below smaller)
+  let cache = Noc_core.Mapping_cache.design_cache ~config:cfg ~groups use_cases in
+  match
+    Mapping.map_design ~config:cfg ~prune ?cache ?seeded:(Option.map seeded seed_opt) ~groups
+      use_cases
+  with
+  | Ok m -> point_of_mapping ~freq ~slots ~topology ~start:(if !warm then Warm else Cold) m
+  | Error _ -> infeasible ~freq ~slots ~topology
 
 (* One span per sweep point: on a pooled sweep each point runs on
    whichever domain claimed it, so the trace shows the wave structure

@@ -11,12 +11,13 @@
     {!Noc_util.Domain_pool}: every (topology, slots) cell of one
     frequency is solved concurrently, and later waves {e warm-start}
     from the nearest already-solved neighbour (same topology, nearest
-    slots, then nearest frequency).  A warm start keeps the cold
-    search's minimality — every mesh size below the neighbour's is
-    still attempted — but retries the neighbour's size with its
-    placement (routing only) before paying for a fresh placement
-    search, and degrades to the exact cold behaviour when that retry
-    fails.  Warm-start scheduling depends only on earlier waves, never
+    slots, then nearest frequency).  Every point is one
+    {!Noc_core.Mapping.map_design} growth search; a warm start only
+    adds its [seeded] hook, which retries the neighbour's size with the
+    neighbour's placement (routing only) before paying for a fresh
+    placement search there.  It keeps the cold search's minimality —
+    every mesh size below the neighbour's is still attempted — and
+    degrades to the exact cold behaviour when the retry fails.  Warm-start scheduling depends only on earlier waves, never
     on timing, so the sweep result is independent of [jobs]. *)
 
 type axes = {
@@ -87,9 +88,10 @@ val explore :
     {!Noc_util.Domain_pool.default_jobs}); [warm] (default [true])
     enables placement-seeded warm starts — [false] is the [--cold]
     escape hatch that forces every point through the full growth
-    search.  [prune] (default [true]) issues a per-point
-    {!Noc_core.Feasibility} certificate and skips growth sizes it
-    rejects; [false] is the [--no-prune] escape hatch.  Warm/cold and
+    search.  [prune] (default [true]) is passed to each point's
+    {!Noc_core.Mapping.map_design}, which skips the growth sizes that
+    point's certificate rejects; [false] is the [--no-prune] escape
+    hatch.  Warm/cold and
     pruned/unpruned all agree on the resulting points (pinned by the
     determinism tests). *)
 

@@ -32,14 +32,14 @@ let spec j =
    differently-named specs happen to pose the same problem. *)
 let problem_digest ~config spec =
   let all, _compounds, groups = DF.expand spec in
-  Mapping_cache.problem_digest ~config ~engine:Noc_core.Mapping.Indexed ~groups all
+  Mapping_cache.problem_digest ~config ~groups all
 
 let text_digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 (* A config-only digest (an empty problem under [config]): folds every
    knob, IEEE-exact, without repeating Mapping_cache's field list. *)
 let config_digest config =
-  Mapping_cache.problem_digest ~config ~engine:Noc_core.Mapping.Indexed ~groups:[] []
+  Mapping_cache.problem_digest ~config ~groups:[] []
 
 let parse_spec ~name text =
   match Spec_parser.parse ~name text with

@@ -233,6 +233,40 @@ let prop_certificate_soundness =
           | Ok _ -> false)
         (Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim))
 
+(* The one assumption behind prefix pruning: the sizes a certificate
+   rejects form a prefix of the growth order, so [map_design] can stop
+   explaining at the first admitted size.  Mesh and torus, with slot
+   tables, NI capacities and frequencies varied so every bound bites. *)
+let prop_rejected_sizes_are_a_prefix =
+  QCheck.Test.make ~name:"rejected sizes form a growth-order prefix" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let params = { Syn.bottleneck_params with cores = 8; flows_lo = 6; flows_hi = 12 } in
+      let ucs = Syn.generate ~seed ~params ~use_cases:2 in
+      let config =
+        {
+          Config.default with
+          freq_mhz = [| 50.0; 100.0; 200.0; 500.0 |].(seed mod 4);
+          nis_per_switch = 1 + (seed / 4 mod 3);
+          slots = [| 2; 4; 8; 16 |].(seed / 12 mod 4);
+          topology = (if seed / 48 mod 2 = 0 then Mesh.Mesh else Mesh.Torus);
+          max_mesh_dim = 6;
+        }
+      in
+      let cert = Feasibility.certify ~config ~groups:(singleton_groups ucs) ucs in
+      let admitted =
+        List.map
+          (fun (w, h) -> Feasibility.admits cert ~width:w ~height:h)
+          (Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim)
+      in
+      (* once a size is admitted, every later one is too *)
+      let rec up_set = function
+        | true :: rest -> List.for_all Fun.id rest
+        | false :: rest -> up_set rest
+        | [] -> true
+      in
+      up_set admitted)
+
 (* Lint cleanliness: a spec the flow maps and verifies never carries an
    error-severity diagnostic. *)
 let prop_mappable_specs_lint_clean =
@@ -252,7 +286,7 @@ let prop_mappable_specs_lint_clean =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_certificate_soundness; prop_mappable_specs_lint_clean ]
+    [ prop_certificate_soundness; prop_rejected_sizes_are_a_prefix; prop_mappable_specs_lint_clean ]
 
 let () =
   Alcotest.run "noc_analysis"

@@ -270,8 +270,9 @@ let prop_cached_byte_identical =
       let hits_after = (MC.stats ()).RC.memory_hits in
       String.equal fresh cold && String.equal cold warm && hits_after > hits_before)
 
-(* Refutations recorded by a pruned run are replayed under --no-prune
-   without changing the designed NoC. *)
+(* A pruned run and a --no-prune run over the same cache agree: the
+   pruned run stores only the sizes it attempted, and the --no-prune run
+   attempts the rejected prefix itself, without changing the design. *)
 let prop_negative_cache_no_prune =
   QCheck.Test.make ~name:"refutation cache: pruned run then --no-prune, same design" ~count:60
     QCheck.(int_bound 1_000_000)
@@ -286,6 +287,24 @@ let prop_negative_cache_no_prune =
       let pruned = design_bytes (Mapping.map_design ~prune:true ?cache ~groups ucs) in
       let noprune = design_bytes (Mapping.map_design ~prune:false ?cache ~groups ucs) in
       String.equal baseline pruned && String.equal baseline noprune)
+
+(* Certificate-rejected sizes are explained, never stored: a pruned
+   D2 map that succeeds on its first admitted size stores exactly one
+   entry, its design. *)
+let test_pruned_map_stores_one_entry () =
+  let ucs = SD.d2 () in
+  let groups = List.mapi (fun i _ -> [ i ]) ucs in
+  let pruned = Noc_obs.Metrics.counter "map.pruned" in
+  MC.set_enabled true;
+  MC.clear ();
+  let stores_before = (MC.stats ()).RC.stores in
+  let pruned_before = Noc_obs.Metrics.counter_value pruned in
+  (match Mapping.map_design ~prune:true ?cache:(MC.design_cache ~groups ucs) ~groups ucs with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "D2 must map: %a" Mapping.pp_failure f);
+  Alcotest.(check bool) "some sizes were pruned" true
+    (Noc_obs.Metrics.counter_value pruned > pruned_before);
+  Alcotest.(check int) "one store: the design" 1 ((MC.stats ()).RC.stores - stores_before)
 
 (* The sweep layers above the cache: explore and the min-frequency
    search return the same answers with the cache cold, warm and off. *)
@@ -392,6 +411,7 @@ let () =
         [
           qcheck prop_cached_byte_identical;
           qcheck prop_negative_cache_no_prune;
+          Alcotest.test_case "pruned map stores one entry" `Quick test_pruned_map_stores_one_entry;
           Alcotest.test_case "explore identical off/cold/warm" `Quick test_explore_cache_identity;
           Alcotest.test_case "min-freq identical off/cold/warm" `Quick test_min_freq_cache_identity;
           Alcotest.test_case "disk tier end to end" `Quick test_disk_tier_end_to_end;

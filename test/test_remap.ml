@@ -282,14 +282,19 @@ let test_cache_memoizes_across_churn () =
 
 (* --- explore_seeded: sweeps over a spec family churn, not restart ------- *)
 
-let test_explore_seeded_inherited () =
+(* The churned spec scales every bandwidth by 0.9 and is swept under
+   [config].  Under the first sweep's config most seeds' sizes stay
+   feasible (warm retries run); with fewer NIs per switch the
+   certificate rejects some seeds' sizes, where the [seeded] hook must
+   never run.  Either way the sweep equals cold.  Returns whether some
+   inherited seed sits on a rejected size. *)
+let check_explore_seeded_inherited ~config () =
   let axes =
     { DS.frequencies = [ 500.0; 1000.0 ]; slot_counts = [ 32 ]; topologies = [ Noc_arch.Mesh.Mesh ] }
   in
   let ucs = Syn.generate ~seed:48 ~params:small_params ~use_cases:2 in
   let groups = List.mapi (fun i _ -> [ i ]) ucs in
-  let config = Config.default in
-  let _, seeds = DS.explore_seeded ~axes ~config ~groups ucs in
+  let first_points, seeds = DS.explore_seeded ~axes ~config:Config.default ~groups ucs in
   let churned =
     List.map
       (fun u ->
@@ -309,7 +314,24 @@ let test_explore_seeded_inherited () =
   let cold_points = DS.explore ~axes ~config ~groups churned in
   let strip (p : DS.point) = { p with DS.start = DS.Cold } in
   Alcotest.(check bool) "inherited seeds never change the sweep's points" true
-    (List.map strip inherited_points = List.map strip cold_points)
+    (List.map strip inherited_points = List.map strip cold_points);
+  (* A seed's size is the growth size of its point's switch count. *)
+  List.exists
+    (fun (p : DS.point) ->
+      match p.DS.switches with
+      | None -> false
+      | Some n ->
+        let cfg = { config with Config.freq_mhz = p.DS.freq_mhz; slots = p.DS.slots } in
+        let cert = Noc_core.Feasibility.certify ~config:cfg ~groups churned in
+        List.exists
+          (fun (w, h) -> w * h = n && not (Noc_core.Feasibility.admits cert ~width:w ~height:h))
+          (Noc_arch.Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim))
+    first_points
+
+let test_explore_seeded_inherited () =
+  ignore (check_explore_seeded_inherited ~config:Config.default ());
+  Alcotest.(check bool) "fewer NIs per switch put some seed on a rejected size" true
+    (check_explore_seeded_inherited ~config:{ Config.default with nis_per_switch = 2 } ())
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
