@@ -43,14 +43,21 @@ let slot_duration_ns t =
 let slots_for_bandwidth t bw =
   Noc_util.Units.slots_needed ~bw ~capacity:(link_capacity t) ~slots:t.slots
 
+let slots_ceiling = 1024
+let mesh_dim_ceiling = 64
+
 let validate t =
   if t.freq_mhz <= 0.0 then Error "frequency must be positive"
   else if not (Float.is_finite t.freq_mhz) then Error "frequency must be finite"
   else if t.link_width_bits <= 0 then Error "link width must be positive"
   else if t.slots <= 0 then Error "slot count must be positive"
+  else if t.slots > slots_ceiling then
+    Error (Printf.sprintf "slot count must be at most %d" slots_ceiling)
   else if t.slot_cycles <= 0 then Error "slot cycles must be positive"
   else if t.nis_per_switch <= 0 then Error "NIs per switch must be positive"
   else if t.max_mesh_dim <= 0 then Error "mesh growth cap must be positive"
+  else if t.max_mesh_dim > mesh_dim_ceiling then
+    Error (Printf.sprintf "mesh growth cap must be at most %d" mesh_dim_ceiling)
   else if t.placement_hw_factor <= 0.0 then Error "placement hw factor must be positive"
   else if t.placement_spread_factor <= 0.0 then Error "placement spread factor must be positive"
   else Ok ()

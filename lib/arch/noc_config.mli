@@ -51,6 +51,9 @@ val slots_for_bandwidth : t -> Noc_util.Units.bandwidth -> int
 
 val validate : t -> (unit, string) result
 (** Reject non-positive or non-finite frequencies, non-positive
-    widths, slot counts, etc. *)
+    widths, slot counts, etc.  Also reject more than 1024 slots or a
+    growth cap above 64: far above any design in use, low enough that
+    a configuration read from untrusted input (a request, a design
+    dump) cannot size slot tables or meshes beyond memory. *)
 
 val pp : Format.formatter -> t -> unit

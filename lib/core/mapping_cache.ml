@@ -4,13 +4,31 @@ module Flow = Noc_traffic.Flow
 module Use_case = Noc_traffic.Use_case
 module Result_cache = Noc_util.Result_cache
 
+(* --- result <-> payload -------------------------------------------------- *)
+
+(* The disk boundary: successes go through {!Mapping_codec}, failures
+   as their message.  Express meshes have no encoding, so their results
+   stay in memory. *)
+let encode_result = function
+  | Ok m -> Option.map (fun payload -> "ok\n" ^ payload) (Mapping_codec.encode m)
+  | Error msg -> Some ("err\n" ^ msg)
+
+let decode_result text =
+  let after prefix = String.sub text (String.length prefix) (String.length text - String.length prefix) in
+  if String.starts_with ~prefix:"ok\n" text then
+    match Mapping_codec.decode (after "ok\n") with
+    | Ok m -> Some (Ok m)
+    | Error _ -> None
+  else if String.starts_with ~prefix:"err\n" text then Some (Error (after "err\n"))
+  else None
+
 (* --- the process-wide store --------------------------------------------- *)
 
 (* Created on first use, but not through [lazy]: a parallel sweep's
    first lookups arrive from several pool worker domains at once, and
    concurrently forcing one lazy raises [CamlinternalLazy.Undefined].
    Double-checked locking creates the store exactly once instead. *)
-let store_cell : Result_cache.t option Atomic.t = Atomic.make None
+let store_cell : (Mapping.t, string) result Result_cache.t option Atomic.t = Atomic.make None
 let store_lock = Mutex.create ()
 
 let force_store () =
@@ -24,7 +42,10 @@ let force_store () =
         match Atomic.get store_cell with
         | Some s -> s
         | None ->
-          let s = Result_cache.create ~version:(Noc_util.Build_info.fingerprint ()) () in
+          let s =
+            Result_cache.create ~version:(Noc_util.Build_info.fingerprint ())
+              ~encode:encode_result ~decode:decode_result ()
+          in
           Atomic.set store_cell (Some s);
           s)
 
@@ -52,6 +73,8 @@ let flush () =
   | Some s -> Result_cache.persist_stats s
   | None -> ()
 
+let clear () = Result_cache.clear (force_store ())
+
 
 (* --- canonical problem digest ------------------------------------------- *)
 
@@ -62,7 +85,7 @@ let kind_token = function Mesh.Mesh -> "mesh" | Mesh.Torus -> "torus"
    (IEEE bits, no formatting), and cheap — this digest runs once per
    attempt on sweep hot paths, where a Printf-based rendering was
    slower than the cache hit it keyed. *)
-let problem_digest ~config ~groups use_cases =
+let digest_problem ~config ~groups use_cases =
   let b = Buffer.create 4096 in
   let add_i i = Buffer.add_int64_le b (Int64.of_int i) in
   let add_f x = Buffer.add_int64_le b (Int64.bits_of_float x) in
@@ -100,10 +123,14 @@ let problem_digest ~config ~groups use_cases =
     use_cases;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let problem_digest ~config ~groups use_cases =
+  Noc_obs.Tracer.with_span ~cat:"cache" "mapping_cache.digest" (fun () ->
+      digest_problem ~config ~groups use_cases)
+
 (* A plain grid is identified by (kind, width, height); [with_express]
    strictly adds links, so a matching link count proves there are none.
    Express meshes get a distinct key from their endpoint list — their
-   results are never stored (the codec cannot represent them), but the
+   results stay in memory (the codec cannot represent them), and the
    key must not collide with the grid's. *)
 let mesh_key mesh =
   let kind = Mesh.kind mesh and w = Mesh.width mesh and h = Mesh.height mesh in
@@ -123,30 +150,12 @@ let mesh_key mesh =
 let grid_key ~topology ~width ~height =
   Printf.sprintf "grid:%s:%d:%d" (kind_token topology) width height
 
-(* --- result <-> payload -------------------------------------------------- *)
+(* --- copy in, copy out ---------------------------------------------------- *)
 
-let encode_result = function
-  | Ok m -> Option.map (fun payload -> "ok\n" ^ payload) (Mapping_codec.encode m)
-  | Error msg -> Some ("err\n" ^ msg)
-
-let decode_result text =
-  let after prefix = String.sub text (String.length prefix) (String.length text - String.length prefix) in
-  if String.starts_with ~prefix:"ok\n" text then
-    match Mapping_codec.decode (after "ok\n") with
-    | Ok m -> Some (Ok m)
-    | Error _ -> None
-  else if String.starts_with ~prefix:"err\n" text then Some (Error (after "err\n"))
-  else None
-
-(* Decoded-value memo in front of the string store: replaying a hit
-   then costs a few array blits ({!Resources.copy}) instead of
-   re-parsing and re-reserving tens of KB of text — the difference
-   between a warm sweep dominated by lookups and one dominated by
-   decoding.  Only consulted after the string tier confirms the key
-   (so the LRU recency and hit counters stay accurate), and only
-   trusted because encoding is canonical: one key has one payload, so
-   the memoized value always matches the stored bytes.  Every return
-   is a fresh copy — callers never alias the memo's states. *)
+(* The memory tier holds mappings themselves, and a caller owns what it
+   gets back (it may reserve into the states), so a value is copied on
+   its way in and on every way out: no caller ever aliases a stored
+   state, and a hit equals a fresh solve. *)
 let copy_mapping (m : Mapping.t) =
   {
     m with
@@ -154,59 +163,11 @@ let copy_mapping (m : Mapping.t) =
     states = Array.map Resources.copy m.Mapping.states;
   }
 
-(* The decoded-value memo is a digest tier of its own: a hit here
-   skips the codec entirely, not just the solve. *)
-let m_decoded_hits = Noc_obs.Metrics.counter "cache.decoded_hits"
+let copy_result = Result.map copy_mapping
 
-let decoded : (string, Mapping.t) Hashtbl.t = Hashtbl.create 64
-let decoded_mutex = Mutex.create ()
-let decoded_capacity = 256
+let lookup_result s key = Option.map copy_result (Result_cache.find s key)
 
-let decoded_find key =
-  Mutex.lock decoded_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock decoded_mutex)
-    (fun () -> Option.map copy_mapping (Hashtbl.find_opt decoded key))
-
-let decoded_add key m =
-  Mutex.lock decoded_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock decoded_mutex)
-    (fun () ->
-      if Hashtbl.length decoded >= decoded_capacity then Hashtbl.reset decoded;
-      Hashtbl.replace decoded key (copy_mapping m))
-
-let decoded_clear () =
-  Mutex.lock decoded_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock decoded_mutex)
-    (fun () -> Hashtbl.reset decoded)
-
-let clear () =
-  decoded_clear ();
-  Result_cache.clear (force_store ())
-
-let lookup_result s key =
-  match Result_cache.find s key with
-  | None -> None
-  | Some text -> (
-    match decoded_find key with
-    | Some m ->
-      Noc_obs.Metrics.incr m_decoded_hits;
-      Some (Ok m)
-    | None -> (
-      match decode_result text with
-      | Some (Ok m) ->
-        decoded_add key m;
-        Some (Ok m)
-      | other -> other))
-
-let store_result s key result =
-  match encode_result result with
-  | None -> ()
-  | Some payload ->
-    Result_cache.add s key payload;
-    (match result with Ok m -> decoded_add key m | Error _ -> ())
+let store_result s key result = Result_cache.add s key (copy_result result)
 
 let cached key compute =
   if not (enabled ()) then compute ()

@@ -13,16 +13,19 @@
     service class) in order.  Use-case and flow {e names} are excluded
     — renaming traffic does not change the mapping problem — and so is
     the {!Mapping.engine}, because both engines produce byte-identical
-    results.  Successes are stored through {!Mapping_codec} (byte-exact
-    round-trip); failures are stored as their message, per mesh size,
-    so a size that cannot map is never re-attempted.  Sizes a
-    feasibility certificate rejects are never stored: the growth loop
-    re-derives them from the certificate on every run.
+    results.  Values are results themselves: successes and failures
+    (per mesh size, so a size that cannot map is never re-attempted).
+    Every mapping is copied on its way into the store and on every way
+    out, so callers never alias a stored state.  Sizes a feasibility
+    certificate rejects are never stored: the growth loop re-derives
+    them from the certificate on every run.
 
     Policy: the in-memory tier is on by default ([--no-cache] turns it
     off); the disk tier only exists once {!set_dir} is called
-    ([--cache-dir]).  Mappings on meshes with express channels are not
-    representable by the codec and silently bypass the cache. *)
+    ([--cache-dir]), and only it runs {!Mapping_codec} (byte-exact
+    round-trip; failures as their message).  Mappings on meshes with
+    express channels are not representable by the codec and stay in
+    memory. *)
 
 val enabled : unit -> bool
 

@@ -1,6 +1,7 @@
 module Config = Noc_arch.Noc_config
 module Mesh = Noc_arch.Mesh
 module Route = Noc_arch.Route
+module Tracer = Noc_obs.Tracer
 
 let format_version = 1
 
@@ -44,7 +45,7 @@ let plain_grid mesh =
   = Mesh.link_count
       (Mesh.create_kind ~kind:(Mesh.kind mesh) ~width:(Mesh.width mesh) ~height:(Mesh.height mesh))
 
-let encode (m : Mapping.t) =
+let encode_mapping (m : Mapping.t) =
   let mesh = m.Mapping.mesh in
   if not (plain_grid mesh) then None
   else begin
@@ -71,6 +72,8 @@ let encode (m : Mapping.t) =
     line "end";
     Some (Buffer.contents b)
   end
+
+let encode m = Tracer.with_span ~cat:"codec" "mapping_codec.encode" (fun () -> encode_mapping m)
 
 let digest m = Option.map (fun bytes -> Digest.to_hex (Digest.string bytes)) (encode m)
 
@@ -219,7 +222,7 @@ let decode_state ~config ~mesh cur =
   | state -> (use_case, state)
   | exception Invalid_argument m -> bad "%s: %s" cur.what m
 
-let decode text =
+let decode_text text =
   try
     let rd = { lines = String.split_on_char '\n' text } in
     let header = read_line rd ~what:"header" in
@@ -237,6 +240,10 @@ let decode text =
       let links = int_tok cur in
       finished cur;
       if width <= 0 || height <= 0 then bad "mesh: non-positive dimension";
+      (* Checked before [Mesh.create_kind] allocates: the validated
+         config bounds the grid a dump may ask for. *)
+      if width > config.Config.max_mesh_dim || height > config.Config.max_mesh_dim then
+        bad "mesh: dimension above the config's growth cap %d" config.Config.max_mesh_dim;
       let mesh = Mesh.create_kind ~kind ~width ~height in
       if Mesh.link_count mesh <> links then bad "mesh: link count mismatch";
       mesh
@@ -298,3 +305,5 @@ let decode text =
     | _ -> bad "end: trailing lines");
     Ok { Mapping.config; mesh; placement; routes; states; groups }
   with Bad msg -> Error msg
+
+let decode text = Tracer.with_span ~cat:"codec" "mapping_codec.decode" (fun () -> decode_text text)

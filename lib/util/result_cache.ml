@@ -33,19 +33,22 @@ let add_stats a b =
   }
 
 (* Memory tier: hash table plus an intrusive circular doubly-linked
-   list through a sentinel; the node after the sentinel is the most
-   recently used, the one before it the eviction victim. *)
+   list of keys through a sentinel; the node after the sentinel is the
+   most recently used, the one before it the eviction victim. *)
 type node = {
   key : string;
-  value : string;
   mutable prev : node;
   mutable next : node;
 }
 
-type t = {
+type 'a entry = { node : node; value : 'a }
+
+type 'a t = {
   version : string;
   cap : int;
-  table : (string, node) Hashtbl.t;
+  encode : 'a -> string option;
+  decode : string -> 'a option;
+  table : (string, 'a entry) Hashtbl.t;
   sentinel : node;
   mutable dir : string option;
   lock : Mutex.t;
@@ -61,13 +64,15 @@ type t = {
 }
 
 let make_sentinel () =
-  let rec s = { key = ""; value = ""; prev = s; next = s } in
+  let rec s = { key = ""; prev = s; next = s } in
   s
 
-let create ?(capacity = 1024) ?dir ~version () =
+let create ?(capacity = 1024) ?dir ~version ~encode ~decode () =
   {
     version;
     cap = max 1 capacity;
+    encode;
+    decode;
     table = Hashtbl.create 64;
     sentinel = make_sentinel ();
     dir;
@@ -107,12 +112,12 @@ let push_front t n =
 let mem_insert t key value =
   (match Hashtbl.find_opt t.table key with
   | Some old ->
-    unlink_node old;
+    unlink_node old.node;
     Hashtbl.remove t.table key
   | None -> ());
-  let n = { key; value; prev = t.sentinel; next = t.sentinel } in
-  push_front t n;
-  Hashtbl.replace t.table key n;
+  let node = { key; prev = t.sentinel; next = t.sentinel } in
+  push_front t node;
+  Hashtbl.replace t.table key { node; value };
   if Hashtbl.length t.table > t.cap then begin
     let victim = t.sentinel.prev in
     unlink_node victim;
@@ -184,61 +189,72 @@ let atomic_write ~path text =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e)
 
-let disk_read t key =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-    let path = entry_file ~dir ~version:t.version key in
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> None (* absent: a plain miss, not an error *)
-    | text -> (
-      match parse_entry ~version:t.version ~key text with
-      | Some payload -> Some payload
-      | None ->
-        (* Corrupt or stale-format: drop it so it is rewritten. *)
-        t.disk_errors <- t.disk_errors + 1;
-        Metrics.incr m_disk_errors;
-        (try Sys.remove path with Sys_error _ -> ());
-        None))
-
-let disk_write t key payload =
-  match t.dir with
-  | None -> ()
-  | Some dir -> (
-    try atomic_write ~path:(entry_file ~dir ~version:t.version key) (render_entry ~version:t.version ~key payload)
-    with _ ->
+let count_disk_error t =
+  locked t (fun () ->
       t.disk_errors <- t.disk_errors + 1;
       Metrics.incr m_disk_errors)
+
+(* Runs outside the lock: file I/O and [decode] may be slow, and
+   counters are the only shared state they touch. *)
+let disk_read t ~dir key =
+  let path = entry_file ~dir ~version:t.version key in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> None (* absent: a plain miss, not an error *)
+  | text -> (
+    match Option.bind (parse_entry ~version:t.version ~key text) t.decode with
+    | Some _ as found -> found
+    | None ->
+      (* Corrupt, stale-format or undecodable: drop it so it is
+         rewritten. *)
+      count_disk_error t;
+      (try Sys.remove path with Sys_error _ -> ());
+      None)
+
+let disk_write t ~dir key payload =
+  try atomic_write ~path:(entry_file ~dir ~version:t.version key) (render_entry ~version:t.version ~key payload)
+  with _ -> count_disk_error t
 
 (* --- public operations -------------------------------------------------- *)
 
 let find t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some n ->
-        unlink_node n;
-        push_front t n;
-        t.memory_hits <- t.memory_hits + 1;
-        Metrics.incr m_memory_hits;
-        Some n.value
-      | None -> (
-        match disk_read t key with
-        | Some payload ->
+  let in_memory =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.table key with
+        | Some e ->
+          unlink_node e.node;
+          push_front t e.node;
+          t.memory_hits <- t.memory_hits + 1;
+          Metrics.incr m_memory_hits;
+          Ok e.value
+        | None -> Error t.dir)
+  in
+  match in_memory with
+  | Ok value -> Some value
+  | Error dir ->
+    let from_disk = Option.bind dir (fun dir -> disk_read t ~dir key) in
+    locked t (fun () ->
+        match from_disk with
+        | Some value ->
           t.disk_hits <- t.disk_hits + 1;
           Metrics.incr m_disk_hits;
-          mem_insert t key payload;
-          Some payload
+          mem_insert t key value;
+          Some value
         | None ->
           t.misses <- t.misses + 1;
           Metrics.incr m_misses;
-          None))
+          None)
 
 let add t key value =
-  locked t (fun () ->
-      mem_insert t key value;
-      t.stores <- t.stores + 1;
-      Metrics.incr m_stores;
-      disk_write t key value)
+  let dir =
+    locked t (fun () ->
+        mem_insert t key value;
+        t.stores <- t.stores + 1;
+        Metrics.incr m_stores;
+        t.dir)
+  in
+  match dir with
+  | None -> ()
+  | Some dir -> Option.iter (disk_write t ~dir key) (t.encode value)
 
 let stats t =
   locked t (fun () ->

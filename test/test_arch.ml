@@ -40,6 +40,10 @@ let test_config_rejections () =
   bad "slot cycles" { Config.default with slot_cycles = -1 };
   bad "nis" { Config.default with nis_per_switch = 0 };
   bad "mesh dim" { Config.default with max_mesh_dim = 0 };
+  bad "slots ceiling" { Config.default with slots = 1025 };
+  bad "mesh dim ceiling" { Config.default with max_mesh_dim = 65 };
+  Alcotest.(check bool) "ceilings themselves are valid" true
+    (Result.is_ok (Config.validate { Config.default with slots = 1024; max_mesh_dim = 64 }));
   bad "hw factor" { Config.default with placement_hw_factor = 0.0 };
   bad "spread factor" { Config.default with placement_spread_factor = -1.0 }
 

@@ -35,7 +35,7 @@ let fresh_dir =
 (* --- Result_cache: LRU, counters, disk tier ----------------------------- *)
 
 let test_lru_eviction () =
-  let c = RC.create ~capacity:2 ~version:"v" () in
+  let c = RC.create ~encode:Option.some ~decode:Option.some ~capacity:2 ~version:"v" () in
   RC.add c "a" "1";
   RC.add c "b" "2";
   Alcotest.(check (option string)) "a present" (Some "1") (RC.find c "a");
@@ -52,7 +52,7 @@ let test_lru_eviction () =
   Alcotest.(check int) "length tracks survivors" 2 (RC.length c)
 
 let test_replace_and_clear () =
-  let c = RC.create ~capacity:4 ~version:"v" () in
+  let c = RC.create ~encode:Option.some ~decode:Option.some ~capacity:4 ~version:"v" () in
   RC.add c "k" "old";
   RC.add c "k" "new";
   Alcotest.(check (option string)) "replaced" (Some "new") (RC.find c "k");
@@ -64,17 +64,17 @@ let test_replace_and_clear () =
 let test_disk_round_trip () =
   let dir = fresh_dir () in
   let payload = "line one\nline two \xff\x00 binary-ish" in
-  let c1 = RC.create ~dir ~version:"build-A" () in
+  let c1 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"build-A" () in
   RC.add c1 "problem:1" payload;
   (* a different process = a fresh instance over the same directory *)
-  let c2 = RC.create ~dir ~version:"build-A" () in
+  let c2 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"build-A" () in
   Alcotest.(check (option string)) "served from disk" (Some payload) (RC.find c2 "problem:1");
   Alcotest.(check int) "counted as disk hit" 1 (RC.stats c2).RC.disk_hits;
   (* promoted into memory: the second find is a memory hit *)
   ignore (RC.find c2 "problem:1");
   Alcotest.(check int) "promoted" 1 (RC.stats c2).RC.memory_hits;
   (* version mismatch never reads the other version's entries *)
-  let c3 = RC.create ~dir ~version:"build-B" () in
+  let c3 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"build-B" () in
   Alcotest.(check (option string)) "other version misses" None (RC.find c3 "problem:1")
 
 let entry_files dir =
@@ -88,7 +88,7 @@ let entry_files dir =
 
 let test_no_tmp_leftovers () =
   let dir = fresh_dir () in
-  let c = RC.create ~dir ~version:"v" () in
+  let c = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"v" () in
   for i = 0 to 19 do
     RC.add c (Printf.sprintf "k%d" i) (String.make 1000 'x')
   done;
@@ -99,14 +99,14 @@ let test_no_tmp_leftovers () =
 
 let corrupt_with f () =
   let dir = fresh_dir () in
-  let c1 = RC.create ~dir ~version:"v" () in
+  let c1 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"v" () in
   RC.add c1 "key" "the payload";
   let files =
     List.filter (fun p -> Filename.check_suffix p ".entry") (entry_files dir)
   in
   Alcotest.(check int) "one entry on disk" 1 (List.length files);
   List.iter f files;
-  let c2 = RC.create ~dir ~version:"v" () in
+  let c2 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"v" () in
   Alcotest.(check (option string)) "corruption degrades to miss" None (RC.find c2 "key");
   Alcotest.(check int) "counted as disk error" 1 (RC.stats c2).RC.disk_errors;
   (* the bad entry is dropped, so the next run doesn't re-parse it *)
@@ -133,7 +133,7 @@ let test_corrupt_payload_flip =
 
 let test_persisted_stats () =
   let dir = fresh_dir () in
-  let c = RC.create ~dir ~version:"v" () in
+  let c = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"v" () in
   RC.add c "a" "1";
   ignore (RC.find c "a");
   ignore (RC.find c "nope");
@@ -153,8 +153,8 @@ let test_persisted_stats () =
 
 let test_disk_summary_and_clear () =
   let dir = fresh_dir () in
-  let a = RC.create ~dir ~version:"A" () in
-  let b = RC.create ~dir ~version:"B" () in
+  let a = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"A" () in
+  let b = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"B" () in
   RC.add a "k1" "11";
   RC.add a "k2" "22";
   RC.add b "k1" "33";
@@ -166,6 +166,40 @@ let test_disk_summary_and_clear () =
   let removed = RC.clear_disk ~dir in
   Alcotest.(check bool) "removed at least the three entries" true (removed >= 3);
   Alcotest.(check (list (triple string int int))) "summary empty" [] (RC.disk_summary ~dir)
+
+(* The codec is the disk boundary only: a store without a directory
+   never encodes or decodes, and one with a directory encodes each
+   [add] once. *)
+let test_codec_only_at_disk () =
+  let encodes = ref 0 and decodes = ref 0 in
+  let c =
+    RC.create ~version:"v"
+      ~encode:(fun v -> incr encodes; Some v)
+      ~decode:(fun v -> incr decodes; Some v)
+      ()
+  in
+  RC.add c "k" "value";
+  Alcotest.(check (option string)) "memory hit" (Some "value") (RC.find c "k");
+  Alcotest.(check (pair int int)) "no codec calls without a dir" (0, 0) (!encodes, !decodes);
+  RC.set_dir c (Some (fresh_dir ()));
+  RC.add c "k2" "value2";
+  Alcotest.(check int) "one encode per add with a dir" 1 !encodes;
+  Alcotest.(check (option string)) "still a memory hit" (Some "value2") (RC.find c "k2");
+  Alcotest.(check int) "memory hits never decode" 0 !decodes
+
+(* A payload that passes the envelope check but that [decode] rejects
+   is a disk error like any corruption: dropped, and a miss. *)
+let test_undecodable_payload () =
+  let dir = fresh_dir () in
+  let c1 = RC.create ~encode:Option.some ~decode:Option.some ~dir ~version:"v" () in
+  RC.add c1 "key" "not decodable";
+  let c2 = RC.create ~encode:Option.some ~decode:(fun _ -> None) ~dir ~version:"v" () in
+  Alcotest.(check (option string)) "undecodable = miss" None (RC.find c2 "key");
+  let s = RC.stats c2 in
+  Alcotest.(check int) "counted as disk error" 1 s.RC.disk_errors;
+  Alcotest.(check int) "not a disk hit" 0 s.RC.disk_hits;
+  Alcotest.(check (list string)) "entry removed" []
+    (List.filter (fun p -> Filename.check_suffix p ".entry") (entry_files dir))
 
 (* --- Build_info ---------------------------------------------------------- *)
 
@@ -186,10 +220,11 @@ let encode_exn m =
   | Some text -> text
   | None -> Alcotest.fail "expected an encodable (express-free) mapping"
 
-let map_exn ~groups ucs =
-  match Mapping.map_design ~groups ucs with
+let map_exn' = function
   | Ok m -> m
   | Error f -> Alcotest.failf "mapping failed: %a" (fun ppf -> Mapping.pp_failure ppf) f
+
+let map_exn ~groups ucs = map_exn' (Mapping.map_design ~groups ucs)
 
 let state_dump (m : Mapping.t) =
   String.concat "|"
@@ -240,7 +275,25 @@ let test_codec_rejects () =
     (String.concat "\n"
        (List.mapi
           (fun i l -> if i = 3 then l ^ " 17" else l)
-          (String.split_on_char '\n' text)))
+          (String.split_on_char '\n' text)));
+  (* Hostile sizes must be refused before anything is allocated for
+     them (each of these once ran the decoder out of memory). *)
+  let d2 =
+    let ucs = SD.d2 () in
+    encode_exn (map_exn ~groups:(List.mapi (fun i _ -> [ i ]) ucs) ucs)
+  in
+  let edit_line prefix f =
+    String.concat "\n"
+      (List.map
+         (fun l -> if String.starts_with ~prefix l then f l else l)
+         (String.split_on_char '\n' d2))
+  in
+  expect_error "huge mesh" (edit_line "mesh " (fun _ -> "mesh mesh 30000 30000 3599880000"));
+  expect_error "huge slot count"
+    (edit_line "config "
+       (fun l ->
+         String.concat " "
+           (List.mapi (fun i t -> if i = 3 then "1000000000" else t) (String.split_on_char ' ' l))))
 
 (* --- cached = fresh, property-tested over random specs ------------------- *)
 
@@ -305,6 +358,68 @@ let test_pruned_map_stores_one_entry () =
   Alcotest.(check bool) "some sizes were pruned" true
     (Noc_obs.Metrics.counter_value pruned > pruned_before);
   Alcotest.(check int) "one store: the design" 1 ((MC.stats ()).RC.stores - stores_before)
+
+(* The memory tier holds mappings themselves, so copy-on-store and
+   copy-on-return are what keep cached runs equal to fresh ones: a
+   caller that mutates what it got back must not change the next hit. *)
+let test_hits_never_alias () =
+  let ucs = SD.d2 () in
+  let groups = List.mapi (fun i _ -> [ i ]) ucs in
+  MC.set_enabled true;
+  MC.clear ();
+  let cache = Option.get (MC.design_cache ~groups ucs) in
+  let fresh = map_exn' (Mapping.map_design ~cache ~groups ucs) in
+  let original = Codec.digest fresh in
+  let width = Mesh.width fresh.Mapping.mesh and height = Mesh.height fresh.Mapping.mesh in
+  let lookup () =
+    match cache.Mapping.lookup ~width ~height with
+    | Some (Ok m) -> m
+    | _ -> Alcotest.fail "expected a cached success"
+  in
+  let deface (m : Mapping.t) =
+    m.Mapping.placement.(0) <- m.Mapping.placement.(0) + 1;
+    let table = Resources.table m.Mapping.states.(0) 0 in
+    match Noc_arch.Slot_table.free_slots table with
+    | slot :: _ -> Noc_arch.Slot_table.reserve table ~slot ~owner:9999
+    | [] -> Alcotest.fail "expected a free slot on link 0"
+  in
+  let hit = lookup () in
+  Alcotest.(check (option string)) "hit equals the fresh design" original (Codec.digest hit);
+  deface hit;
+  deface fresh;
+  Alcotest.(check bool) "defaced copy differs" true (Codec.digest hit <> original);
+  Alcotest.(check (option string)) "second hit is the original" original (Codec.digest (lookup ()))
+
+(* The codec runs only at the disk boundary, visible in a trace: a D2
+   design flow without a cache dir records no codec span, and a cold
+   one with a dir records exactly one encode (its one store). *)
+let test_codec_spans () =
+  let module Tracer = Noc_obs.Tracer in
+  let spec = Noc_core.Design_flow.spec_of_use_cases ~name:"d2" (SD.d2 ()) in
+  let codec_spans () =
+    Tracer.set_enabled true;
+    Tracer.reset ();
+    (match Noc_core.Design_flow.run spec with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    Tracer.set_enabled false;
+    let names = List.map (fun (e : Tracer.event) -> e.Tracer.name) (Tracer.events ()) in
+    Tracer.reset ();
+    ( List.length (List.filter (String.starts_with ~prefix:"mapping_codec.") names),
+      List.length (List.filter (String.equal "mapping_codec.encode") names),
+      List.mem "mapping_cache.digest" names )
+  in
+  MC.set_enabled true;
+  MC.set_dir None;
+  MC.clear ();
+  let spans, _, digested = codec_spans () in
+  Alcotest.(check int) "no codec span without a cache dir" 0 spans;
+  Alcotest.(check bool) "the digest is traced" true digested;
+  MC.clear ();
+  MC.set_dir (Some (fresh_dir ()));
+  let _, encodes, _ = codec_spans () in
+  MC.set_dir None;
+  Alcotest.(check int) "one encode in a cold run with a cache dir" 1 encodes
 
 (* The sweep layers above the cache: explore and the min-frequency
    search return the same answers with the cache cold, warm and off. *)
@@ -400,6 +515,8 @@ let () =
           Alcotest.test_case "payload bit-flip = miss" `Quick test_corrupt_payload_flip;
           Alcotest.test_case "persisted stats merge" `Quick test_persisted_stats;
           Alcotest.test_case "disk summary and clear" `Quick test_disk_summary_and_clear;
+          Alcotest.test_case "codec runs only at the disk" `Quick test_codec_only_at_disk;
+          Alcotest.test_case "undecodable payload = miss" `Quick test_undecodable_payload;
         ] );
       ("build_info", [ Alcotest.test_case "version and fingerprint" `Quick test_build_info ]);
       ( "codec",
@@ -412,6 +529,8 @@ let () =
           qcheck prop_cached_byte_identical;
           qcheck prop_negative_cache_no_prune;
           Alcotest.test_case "pruned map stores one entry" `Quick test_pruned_map_stores_one_entry;
+          Alcotest.test_case "cache hits never alias" `Quick test_hits_never_alias;
+          Alcotest.test_case "codec spans only at the disk" `Quick test_codec_spans;
           Alcotest.test_case "explore identical off/cold/warm" `Quick test_explore_cache_identity;
           Alcotest.test_case "min-freq identical off/cold/warm" `Quick test_min_freq_cache_identity;
           Alcotest.test_case "disk tier end to end" `Quick test_disk_tier_end_to_end;
