@@ -30,6 +30,10 @@ let read_file file =
 
 let write_file file text = Out_channel.with_open_text file (fun oc -> output_string oc text)
 
+(* Payloads stream through the JSON writer; none is built as one string. *)
+let write_payload file outcome =
+  Out_channel.with_open_text file (fun oc -> Payload.output oc outcome)
+
 (* --- benchmark selection ------------------------------------------------- *)
 
 let load_benchmark ~name ~use_cases ~seed =
@@ -346,7 +350,7 @@ let run_map () input config refine wc no_prune vhdl systemc dump certify json =
       print_design name d.DF.mapping (DF.verified d);
       Option.iter
         (fun file ->
-          write_file file (Payload.render outcome);
+          write_payload file outcome;
           Format.printf "wrote %s@." file)
         json;
       emits name d.DF.mapping
@@ -521,11 +525,21 @@ let run_export () bench use_cases seed config json dot dot_uc =
   let* d =
     DF.run ~config:(Protocol.to_noc_config config) (DF.spec_of_use_cases ~name:bench ucs)
   in
+  let wrote file bytes = Format.printf "wrote %s (%d bytes)@." file bytes in
   let write file text =
     write_file file text;
-    Format.printf "wrote %s (%d bytes)@." file (String.length text)
+    wrote file (String.length text)
   in
-  Option.iter (fun file -> write file (Noc_export.Design_export.design_to_string d)) json;
+  let output_design oc =
+    Noc_export.Json.to_channel ~indent:2 oc (Noc_export.Design_export.design d)
+  in
+  Option.iter
+    (fun file ->
+      wrote file
+        (Out_channel.with_open_text file (fun oc ->
+             output_design oc;
+             pos_out oc)))
+    json;
   Option.iter (fun file -> write file (Noc_export.Dot.topology d.DF.mapping)) dot;
   Option.iter
     (fun uc ->
@@ -533,8 +547,10 @@ let run_export () bench use_cases seed config json dot dot_uc =
         (Printf.sprintf "%s_uc%d.dot" bench uc)
         (Noc_export.Dot.use_case d.DF.mapping ~use_case:uc))
     dot_uc;
-  if json = None && dot = None && dot_uc = None then
-    print_endline (Noc_export.Design_export.design_to_string d);
+  if json = None && dot = None && dot_uc = None then begin
+    output_design stdout;
+    print_newline ()
+  end;
   Ok ()
 
 let export_cmd =
@@ -577,7 +593,7 @@ let run_explore () input torus cold no_prune json =
   | Ok (Payload.Points points as outcome) ->
     (match json with
     | Some file ->
-      write_file file (Payload.render outcome);
+      write_payload file outcome;
       Format.printf "wrote %s (%d points)@." file (List.length points)
     | None -> Noc_power.Design_space.print points);
     Ok ()
@@ -625,8 +641,8 @@ let run_lint () input config json deep =
   match Service.run job with
   | Error msg -> Error msg
   | Ok (Payload.Lint report as outcome) -> (
-    print_string
-      (if json then Payload.render outcome else Noc_analysis.Analyzer.render_text report);
+    if json then Payload.output stdout outcome
+    else print_string (Noc_analysis.Analyzer.render_text report);
     match Noc_analysis.Analyzer.exit_code report with 0 -> Ok () | n -> exit n)
   | Ok _ -> assert false
 
@@ -664,8 +680,8 @@ let run_certify () input config json from =
   let* input = input in
   let* job = prepare ?file:input.file (spec_op `Certify config input) in
   let finish cert =
-    print_string
-      (if json then Payload.render (Payload.Certificate cert) else C.render_text cert);
+    if json then Payload.output stdout (Payload.Certificate cert)
+    else print_string (C.render_text cert);
     match C.exit_code cert with 0 -> Ok () | n -> exit n
   in
   match (from, Service.spec job) with
@@ -807,7 +823,7 @@ let run_remap () from_file to_file reference config no_prune json dump certify =
       (Noc_core.Mapping_codec.digest design.DF.mapping);
     Option.iter
       (fun file ->
-        write_file file (Payload.render outcome);
+        write_payload file outcome;
         Format.printf "wrote %s@." file)
       json;
     let* () = emit_dump dump design.DF.mapping in

@@ -98,14 +98,13 @@ let json_of_certificate (c : Feasibility.t) =
         | None -> Json.Null );
     ]
 
-let render_json report =
-  Json.to_string ~indent:2
-    (Json.Obj
-       [
-         ("diagnostics", Json.List (List.map D.to_json report.diagnostics));
-         ( "certificate",
-           match report.certificate with
-           | Some c -> json_of_certificate c
-           | None -> Json.Null );
-         ("exit_code", Json.Int (exit_code report));
-       ])
+let to_json report =
+  Json.Obj
+    [
+      ("diagnostics", Json.List (List.map D.to_json report.diagnostics));
+      ( "certificate",
+        match report.certificate with
+        | Some c -> json_of_certificate c
+        | None -> Json.Null );
+      ("exit_code", Json.Int (exit_code report));
+    ]

@@ -32,6 +32,5 @@ val exit_code : report -> int
 val render_text : report -> string
 (** One [pp]'d line per diagnostic plus a severity tally. *)
 
-val render_json : report -> string
-(** [{"diagnostics": [...], "certificate": {...}|null, "exit_code": n}]
-    (validates under {!Noc_export.Json.validate}). *)
+val to_json : report -> Noc_export.Json.t
+(** [{"diagnostics": [...], "certificate": {...}|null, "exit_code": n}]. *)

@@ -7,38 +7,100 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* --- the writer -------------------------------------------------------------
+
+   One serializer behind [to_string], [to_channel] and [escape].  It emits
+   straight into a [Buffer.t]: indentation is a substring of one shared run
+   of spaces, strings are copied run by run between the bytes that need
+   rewriting, ints are written digit by digit and floats go to the
+   runtime's formatter without [Printf]'s format interpreter.  Half of a
+   pretty-printed design is indentation; only floats allocate per
+   value. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let spaces = String.make 128 ' '
+
+let add_pad buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else Buffer.add_string buf (String.make n ' ')
+
+let hex = "0123456789abcdef"
+
+(* Rewrites exactly '"', '\\', '\n', '\r', '\t' and the other bytes below
+   0x20 (as \u00XX); everything else, DEL and non-ASCII included, is
+   copied as is. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run)
+
+let escape s =
+  let buf = Buffer.create (String.length s + (String.length s lsr 3) + 8) in
+  add_escaped buf s;
   Buffer.contents buf
 
-let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-  else if Float.is_nan x || Float.abs x = infinity then "null" (* JSON has no NaN/inf *)
-  else Printf.sprintf "%.12g" x
+(* Same digits as [string_of_int]. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let to_string ?(indent = 0) v =
-  let buf = Buffer.create 1024 in
-  let pad depth = if indent > 0 then Buffer.add_string buf (String.make (depth * indent) ' ') in
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+
+(* JSON has no NaN/inf: those are [null]. *)
+let add_float buf x =
+  if Float.is_integer x && Float.abs x < 1e15 then Buffer.add_string buf (format_float "%.1f" x)
+  else if Float.is_nan x || Float.abs x = infinity then Buffer.add_string buf "null"
+  else Buffer.add_string buf (format_float "%.12g" x)
+
+(* [spill] runs between the items of every list and object, so a
+   channel writer can hand the buffer over before it grows large. *)
+let write ~indent ~spill buf v =
   let nl () = if indent > 0 then Buffer.add_char buf '\n' in
+  let open_item depth i =
+    if i > 0 then begin
+      Buffer.add_char buf ',';
+      spill ();
+      nl ()
+    end;
+    if indent > 0 then add_pad buf ((depth + 1) * indent)
+  in
+  let close depth c =
+    nl ();
+    if indent > 0 then add_pad buf (depth * indent);
+    Buffer.add_char buf c
+  in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float x -> Buffer.add_string buf (float_repr x)
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> add_int buf i
+    | Float x -> add_float buf x
     | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -46,38 +108,43 @@ let to_string ?(indent = 0) v =
       nl ();
       List.iteri
         (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
+          open_item depth i;
           go (depth + 1) item)
         items;
-      nl ();
-      pad depth;
-      Buffer.add_char buf ']'
+      close depth ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
       Buffer.add_char buf '{';
       nl ();
       List.iteri
         (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
+          open_item depth i;
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\": ";
           go (depth + 1) item)
         fields;
-      nl ();
-      pad depth;
-      Buffer.add_char buf '}'
+      close depth '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string ?(indent = 0) v =
+  let buf = Buffer.create 4096 in
+  write ~indent ~spill:ignore buf v;
   Buffer.contents buf
+
+let chunk = 65536
+
+let to_channel ?(indent = 0) oc v =
+  let buf = Buffer.create (chunk + 4096) in
+  let spill () =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  write ~indent ~spill buf v;
+  Buffer.output_buffer oc buf
 
 (* --- strict syntax validation ------------------------------------------- *)
 

@@ -99,6 +99,172 @@ let prop_generated_json_always_valid =
       Json.validate (Json.to_string v) = Ok ()
       && Json.validate (Json.to_string ~indent:3 v) = Ok ())
 
+(* --- the writer against the reference serializer ---------------------------
+
+   [Reference] is the straightforward serializer the writer replaced,
+   kept verbatim as the oracle: a fresh [Buffer] per escaped string, a
+   [String.make] per indented line and [Printf] per float.  The writer
+   must emit exactly its bytes. *)
+
+module Reference = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let float_repr x =
+    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+    else if Float.is_nan x || Float.abs x = infinity then "null" (* JSON has no NaN/inf *)
+    else Printf.sprintf "%.12g" x
+
+  let to_string ?(indent = 0) v =
+    let buf = Buffer.create 1024 in
+    let pad depth = if indent > 0 then Buffer.add_string buf (String.make (depth * indent) ' ') in
+    let nl () = if indent > 0 then Buffer.add_char buf '\n' in
+    let rec go depth = function
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+      | Json.Int i -> Buffer.add_string buf (string_of_int i)
+      | Json.Float x -> Buffer.add_string buf (float_repr x)
+      | Json.String s ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (escape s);
+        Buffer.add_char buf '"'
+      | Json.List [] -> Buffer.add_string buf "[]"
+      | Json.List items ->
+        Buffer.add_char buf '[';
+        nl ();
+        List.iteri
+          (fun i item ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              nl ()
+            end;
+            pad (depth + 1);
+            go (depth + 1) item)
+          items;
+        nl ();
+        pad depth;
+        Buffer.add_char buf ']'
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        nl ();
+        List.iteri
+          (fun i (k, item) ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              nl ()
+            end;
+            pad (depth + 1);
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (escape k);
+            Buffer.add_string buf "\": ";
+            go (depth + 1) item)
+          fields;
+        nl ();
+        pad depth;
+        Buffer.add_char buf '}'
+    in
+    go 0 v;
+    Buffer.contents buf
+end
+
+(* Bytes the writer treats specially, plus the ones it must not: DEL
+   and non-ASCII pass through unescaped. *)
+let gen_byte_string =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, char);
+        ( 2,
+          oneofl
+            [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\b'; '\012'; '\031'; '\127'; '\128'; '\255' ]
+        );
+        (2, char_range 'a' 'z');
+      ]
+  in
+  string_size ~gen:byte (0 -- 24)
+
+let gen_float =
+  let open QCheck.Gen in
+  let edge =
+    oneofl
+      [
+        0.0; -0.0; 1.5; -2.0; 0.1; 1e15; -1e15; 1e15 -. 1.0; 1e15 +. 2.0; -.(1e15 -. 1.0);
+        Float.nan; Float.infinity; Float.neg_infinity; 5e-324; Float.min_float /. 3.0;
+        Float.min_float; 1e300; -1e300; Float.max_float; 123456.789012345;
+      ]
+  in
+  frequency [ (1, float); (1, edge); (1, map float_of_int small_signed_int) ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]);
+        map (fun x -> Json.Float x) gen_float;
+        map (fun s -> Json.String s) gen_byte_string;
+      ]
+  in
+  let tree =
+    sized_size (0 -- 8)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 2))));
+                 ( 1,
+                   map (fun l -> Json.Obj l) (list_size (0 -- 4) (pair gen_byte_string (self (n / 2))))
+                 );
+               ])
+  in
+  (* Nest up to 70 levels: at indent 2 and 3 that is deeper than the
+     writer's shared run of spaces. *)
+  let rec nest v = function
+    | [] -> v
+    | in_list :: rest ->
+      nest (if in_list then Json.List [ v; Json.Int 0 ] else Json.Obj [ ("k", v) ]) rest
+  in
+  map2 nest tree (list_size (0 -- 70) bool)
+
+let prop_writer_matches_reference =
+  QCheck.Test.make ~name:"writer emits the reference serializer's bytes" ~count:400
+    (QCheck.make ~print:(fun (v, s) -> Reference.to_string v ^ " / " ^ String.escaped s)
+       QCheck.Gen.(pair gen_json gen_byte_string))
+    (fun (v, s) ->
+      List.for_all
+        (fun indent -> Json.to_string ~indent v = Reference.to_string ~indent v)
+        [ 0; 2; 3 ]
+      && Json.escape s = Reference.escape s)
+
+let test_writer_every_byte () =
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "escape, all 256 bytes" (Reference.escape all) (Json.escape all);
+  let v = Json.Obj [ (all, Json.List [ Json.String all; Json.String "" ]) ] in
+  List.iter
+    (fun indent ->
+      Alcotest.(check string)
+        (Printf.sprintf "to_string ~indent:%d" indent)
+        (Reference.to_string ~indent v) (Json.to_string ~indent v))
+    [ 0; 2; 3 ]
+
 (* --- design exports -------------------------------------------------------- *)
 
 let sample_design () =
@@ -157,7 +323,9 @@ let test_dot_use_case_heat () =
        false
      with Invalid_argument _ -> true)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_generated_json_always_valid ]
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_generated_json_always_valid; prop_writer_matches_reference ]
 
 let () =
   Alcotest.run "noc_export"
@@ -171,6 +339,7 @@ let () =
           Alcotest.test_case "roundtrip validity" `Quick test_json_roundtrip_validity;
           Alcotest.test_case "validator rejects" `Quick test_json_validator_rejects;
           Alcotest.test_case "validator accepts" `Quick test_json_validator_accepts;
+          Alcotest.test_case "writer, every byte" `Quick test_writer_every_byte;
         ] );
       ( "design",
         [

@@ -277,6 +277,43 @@ let test_d1_traced_export_identical () =
   | Ok off, Ok on -> Alcotest.(check string) "D1 export identical under tracing" off on
   | _ -> Alcotest.fail "D1 must map"
 
+(* A D2 [map --json] as the CLI runs it: one [payload.write] span with
+   the file's size, and the same bytes as an untraced run. *)
+let map_json_with ~traced =
+  fresh ();
+  Tracer.set_enabled traced;
+  let text = Noc_core.Spec_parser.to_text (DF.spec_of_use_cases ~name:"d2" (SD.d2 ())) in
+  let op =
+    Noc_serve.Protocol.Map { name = "d2"; spec = text; config = Noc_serve.Protocol.default_config }
+  in
+  let outcome =
+    match Noc_serve.Service.prepare op with
+    | Error (_, msg) -> Alcotest.fail msg
+    | Ok job -> (
+      match Noc_serve.Service.run job with Ok o -> o | Error msg -> Alcotest.fail msg)
+  in
+  let file = Filename.temp_file "nocmap-obs" ".json" in
+  Out_channel.with_open_text file (fun oc -> Noc_serve.Payload.output oc outcome);
+  let bytes = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  let writes =
+    List.filter (fun (e : Tracer.event) -> e.name = "payload.write") (Tracer.events ())
+  in
+  Tracer.set_enabled false;
+  Tracer.reset ();
+  (bytes, writes)
+
+let test_d2_map_json_payload_span () =
+  let untraced, none = map_json_with ~traced:false in
+  let traced, writes = map_json_with ~traced:true in
+  Alcotest.(check int) "untraced records no span" 0 (List.length none);
+  Alcotest.(check int) "one payload.write" 1 (List.length writes);
+  (match List.assoc_opt "bytes" (List.hd writes).Tracer.args with
+  | Some (Tracer.Int n) ->
+    Alcotest.(check int) "bytes arg is the file size" (String.length traced) n
+  | _ -> Alcotest.fail "payload.write has no int bytes arg");
+  Alcotest.(check string) "traced map --json identical" untraced traced
+
 let () =
   Alcotest.run "obs"
     [
@@ -301,5 +338,7 @@ let () =
         ] );
       ( "passivity",
         Alcotest.test_case "D1 traced export identical" `Quick test_d1_traced_export_identical
+        :: Alcotest.test_case "D2 map --json: one payload.write" `Quick
+             test_d2_map_json_payload_span
         :: List.map QCheck_alcotest.to_alcotest [ prop_traced_export_byte_identical ] );
     ]

@@ -327,6 +327,86 @@ let test_prepare_non_finite_flows () =
         (all_ops ~name:"t" ~config:P.default_config text))
     [ "bw nan"; "bw inf"; "bw 5 lat nan" ]
 
+(* --- payload output ----------------------------------------------------------
+
+   The CLI streams payloads with [Payload.output]; the daemon sends
+   [Payload.render]'s string.  Both run the same JSON writer, and the
+   streamed file must hold exactly the rendered bytes. *)
+
+let via_channel write =
+  let file = Filename.temp_file "nocmap-payload" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file write;
+      In_channel.with_open_bin file In_channel.input_all)
+
+let outcome_of op =
+  match Service.prepare op with
+  | Error (_, msg) -> Alcotest.failf "prepare: %s" msg
+  | Ok job -> (
+    match Service.run job with Ok o -> o | Error msg -> Alcotest.failf "run: %s" msg)
+
+let test_output_equals_render () =
+  let designs =
+    List.map
+      (fun (n, ucs) -> (n, spec_text n ucs))
+      [ ("d1", SD.d1 ()); ("d2", SD.d2 ()); ("d3", SD.d3 ()); ("d4", SD.d4 ()) ]
+  in
+  let d2 = List.assoc "d2" designs in
+  let churned = spec_text "d2-churn" (List.tl (SD.d2 ())) in
+  let ops =
+    List.map (fun (name, text) -> (name ^ " map", map_op name text)) designs
+    @ [
+        ( "d2 explore",
+          P.Explore
+            {
+              name = "d2";
+              spec = d2;
+              config = P.default_config;
+              frequencies = Some [ 250.0; 500.0 ];
+              slot_counts = Some [ 16; 32 ];
+              torus = true;
+            } );
+        ("d2 lint", P.Lint { name = "d2"; spec = d2; config = P.default_config; deep = true });
+        ("d2 certify", P.Certify { name = "d2"; spec = d2; config = P.default_config });
+        ( "d2 remap",
+          P.Remap
+            {
+              from_name = "d2";
+              from_spec = d2;
+              to_name = "d2-churn";
+              to_spec = churned;
+              config = P.default_config;
+            } );
+      ]
+  in
+  List.iter
+    (fun (what, op) ->
+      let outcome = outcome_of op in
+      Alcotest.(check string) (what ^ ": output == render") (Payload.render outcome)
+        (via_channel (fun oc -> Payload.output oc outcome)))
+    ops
+
+(* An Sp40 design is about 1 MB, so the writer hands its buffer over
+   at many item boundaries. *)
+let test_to_channel_chunks () =
+  let module Syn = Noc_benchkit.Synthetic in
+  let ucs = Syn.generate ~seed:200 ~params:Syn.spread_params ~use_cases:40 in
+  match DF.run (DF.spec_of_use_cases ~name:"sp40" ucs) with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+    let v = Noc_export.Design_export.design d in
+    List.iter
+      (fun indent ->
+        let expected = Noc_export.Json.to_string ~indent v in
+        Alcotest.(check bool) "larger than one chunk" true (String.length expected > 4 * 65536);
+        Alcotest.(check string)
+          (Printf.sprintf "to_channel == to_string at indent %d" indent)
+          expected
+          (via_channel (fun oc -> Noc_export.Json.to_channel ~indent oc v)))
+      [ 0; 2 ]
+
 (* --- live daemon ----------------------------------------------------------- *)
 
 let socket_path name =
@@ -652,6 +732,11 @@ let () =
           Alcotest.test_case "prepare rejects garbage" `Quick test_prepare_rejects;
           Alcotest.test_case "invalid configs rejected" `Quick test_prepare_invalid_config;
           Alcotest.test_case "non-finite flows rejected" `Quick test_prepare_non_finite_flows;
+        ] );
+      ( "payload",
+        [
+          Alcotest.test_case "output == render" `Quick test_output_equals_render;
+          Alcotest.test_case "to_channel chunks == to_string" `Quick test_to_channel_chunks;
         ] );
       ( "daemon",
         [
