@@ -421,9 +421,20 @@ let design_of input config =
   | Ok _ -> assert false
   | Error msg -> Error msg
 
+(* A non-positive length is refused while the arguments are parsed
+   (exit 124), before the design is mapped. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let duration_arg =
-  let doc = "Simulation length in TDMA slots." in
-  Arg.(value & opt int 3200 & info [ "duration" ] ~docv:"SLOTS" ~doc)
+  let doc = "Simulation length in TDMA slots (a positive integer)." in
+  Arg.(value & opt positive_int 3200 & info [ "duration" ] ~docv:"SLOTS" ~doc)
 
 let reference_sim_arg =
   let doc =

@@ -53,6 +53,19 @@ type chunk = {
   mutable bytes : float;
 }
 
+(* A connection's running totals.  All-float, so OCaml stores the
+   fields flat: every read boxes afresh and no two result fields ever
+   share a box, whichever core wrote them ([Marshal], which the
+   equivalence tests compare, encodes sharing). *)
+type acc = {
+  mutable delivered : float;
+  mutable backlog : float;
+  mutable backlog_peak : float;
+  mutable latency_sum : float;
+  mutable latency_max : float;
+  mutable latency_bytes : float;
+}
+
 type conn_state = {
   idx : int;                       (* position in the route list *)
   route : Route.t;
@@ -61,12 +74,7 @@ type conn_state = {
   gt_transit_ns : float;           (* launch-to-delivery time of a GT flit *)
   hop_queues : chunk Queue.t array; (* queue i: waiting to traverse link i;
                                        a single queue for GT and same-switch *)
-  mutable delivered_bytes : float;
-  mutable backlog : float;
-  mutable backlog_peak : float;
-  mutable latency_sum : float;
-  mutable latency_max : float;
-  mutable latency_bytes : float;
+  acc : acc;
 }
 
 (* Per-link best-effort service state, in first-traversal order (the
@@ -79,16 +87,22 @@ type be_entry = {
   mutable armed : bool;              (* event core: free_mask armed in the wheel? *)
 }
 
-(* All [sources] problems are rejected before the first slot runs:
-   unknown flow ids (a typo would silently fall back to Fluid
-   otherwise), malformed on/off shapes, invalid traces. *)
-let validate_sources ~sources ~routes =
+(* The sources indexed by flow id.  All [sources] problems are
+   rejected before the first slot runs: unknown flow ids (a typo would
+   silently fall back to Fluid otherwise), a flow id named twice,
+   malformed on/off shapes, invalid traces. *)
+let index_sources ~sources ~routes =
+  let route_ids = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace route_ids r.Route.flow_id ()) routes;
+  let by_flow = Hashtbl.create 16 in
   List.iter
     (fun (flow_id, source) ->
-      if not (List.exists (fun r -> r.Route.flow_id = flow_id) routes) then
+      if not (Hashtbl.mem route_ids flow_id) then
         invalid_arg
           (Printf.sprintf "Simulator: source for unknown flow id %d" flow_id);
-      match source with
+      if Hashtbl.mem by_flow flow_id then
+        invalid_arg (Printf.sprintf "Simulator: two sources for flow id %d" flow_id);
+      (match source with
       | Fluid -> ()
       | On_off { period_slots; duty } ->
         if period_slots <= 0 then invalid_arg "Simulator: non-positive burst period";
@@ -96,8 +110,10 @@ let validate_sources ~sources ~routes =
       | Replay trace -> (
         match Trace.validate trace with
         | Ok () -> ()
-        | Error msg -> invalid_arg ("Simulator: bad trace: " ^ msg)))
-    sources
+        | Error msg -> invalid_arg ("Simulator: bad trace: " ^ msg)));
+      Hashtbl.replace by_flow flow_id source)
+    sources;
+  by_flow
 
 let take_from_queue ~budget ~now_ns ~transit_ns queue ~deliver st =
   (* Move up to [budget] ready bytes out of [queue]; [deliver] consumes
@@ -115,12 +131,13 @@ let take_from_queue ~budget ~now_ns ~transit_ns queue ~deliver st =
       chunk.bytes <- chunk.bytes -. take;
       budget := !budget -. take;
       if deliver then begin
-        st.delivered_bytes <- st.delivered_bytes +. take;
-        st.backlog <- st.backlog -. take;
+        let a = st.acc in
+        a.delivered <- a.delivered +. take;
+        a.backlog <- a.backlog -. take;
         let lat = now_ns +. transit_ns -. chunk.arrival_ns in
-        st.latency_sum <- st.latency_sum +. (lat *. take);
-        st.latency_bytes <- st.latency_bytes +. take;
-        if lat > st.latency_max then st.latency_max <- lat
+        a.latency_sum <- a.latency_sum +. (lat *. take);
+        a.latency_bytes <- a.latency_bytes +. take;
+        if lat > a.latency_max then a.latency_max <- lat
       end
       else
         moved :=
@@ -131,7 +148,7 @@ let take_from_queue ~budget ~now_ns ~transit_ns queue ~deliver st =
   done;
   List.rev !moved
 
-(* Shapes are validated once in [validate_sources]; here only the
+(* Shapes are validated once in [index_sources]; here only the
    arithmetic remains. *)
 let arrival_bytes ~source ~bw ~slot_ns ~t =
   match source with
@@ -147,8 +164,9 @@ let arrival_bytes ~source ~bw ~slot_ns ~t =
 
 let push_arrival st ~arrival_ns ~ready_ns ~bytes =
   Queue.push { arrival_ns; ready_ns; bytes } st.hop_queues.(0);
-  st.backlog <- st.backlog +. bytes;
-  if st.backlog > st.backlog_peak then st.backlog_peak <- st.backlog
+  let a = st.acc in
+  a.backlog <- a.backlog +. bytes;
+  if a.backlog > a.backlog_peak then a.backlog_peak <- a.backlog
 
 (* Inject every pending trace event falling inside this slot. *)
 let drain_replay st pending ~now_ns ~horizon =
@@ -198,9 +216,126 @@ let serve_be_link ~now_ns ~slot_ns ~payload_bytes entry ~on_idle ~on_forward =
       if moved <> [] then on_forward st hop
     end
 
+(* A fluid or on/off source as [(bytes, period, on)]: [bytes] arrive
+   in each slot whose phase in a [period]-slot cycle is below [on] (a
+   fluid source is [period = on = 1]).  The byte amounts are the exact
+   expressions [arrival_bytes] evaluates, hoisted.  [None] for a
+   replay source. *)
+let arrival_shape ~slot_ns st =
+  let bw = st.route.Route.bandwidth in
+  match st.source with
+  | Fluid -> Some (bw /. 1000.0 *. slot_ns, 1, 1)
+  | On_off { period_slots = p; duty } ->
+    let on_slots = Float.max 1.0 (Float.round (duty *. float_of_int p)) in
+    (* [float_of_int max_int] rounds up past [max_int] *)
+    let on = if on_slots >= float_of_int p then p else int_of_float on_slots in
+    Some (bw /. 1000.0 *. slot_ns *. (float_of_int p /. on_slots), p, on)
+  | Replay _ -> None
+
+(* The GT pass: one GT connection with a fluid or on/off source, run
+   alone over the whole horizon.  Nothing else touches its state — its
+   launches are its own reserved starts, it owns a single queue, and BE
+   traffic only uses the slots GT leaves free — so it needs no
+   calendar.  Its source adds the same [bytes] in every ON slot (phase
+   [< on] of a [period]-slot cycle; a fluid source is [period = on =
+   1]), so the queue is implicit: the head chunk's slot [head] and
+   remaining bytes [rem], and the last pushed slot [last] (empty when
+   [head > last]); the chunk behind the head is the next ON slot's.
+   Each slot performs exactly the reference's float operations in its
+   order — [push_arrival], then [take_from_queue ~deliver:true] on a
+   reserved start (a GT queue is never blocked: every chunk is ready
+   from its arrival slot) — without allocating.  Slots where neither
+   can happen are jumped: with the queue empty through an OFF phase
+   up to the next ON slot, with it backlogged there between reserved
+   starts. *)
+let run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~on =
+  let a = st.acc in
+  let starts = st.starts in
+  let transit_ns = st.gt_transit_ns in
+  (* [gap.(s)]: slots from phase [s] to the next reserved start, [s]
+     itself included; [max_int] when there is none.  Only OFF phases
+     read it. *)
+  let gap =
+    if on >= period then [||]
+    else begin
+      let gap = Array.make slots max_int in
+      for _ = 1 to 2 do
+        for s = slots - 1 downto 0 do
+          if starts.(s) then gap.(s) <- 0
+          else
+            let next = gap.(if s = slots - 1 then 0 else s + 1) in
+            if next < max_int then gap.(s) <- next + 1
+        done
+      done;
+      gap
+    end
+  in
+  let head = ref 0 and head_phase = ref 0 and rem = ref 0.0 and last = ref (-1) in
+  let t = ref 0 and slot = ref 0 and phase = ref 0 in
+  while !t < duration_slots do
+    let now_ns = float_of_int !t *. slot_ns in
+    if !phase < on then begin
+      if !head > !last then begin
+        head := !t;
+        head_phase := !phase;
+        rem := bytes
+      end;
+      last := !t;
+      a.backlog <- a.backlog +. bytes;
+      if a.backlog > a.backlog_peak then a.backlog_peak <- a.backlog
+    end;
+    if starts.(!slot) then begin
+      let budget = ref payload_bytes in
+      while !budget > 1e-12 && !head <= !last do
+        let take = Float.min !rem !budget in
+        rem := !rem -. take;
+        budget := !budget -. take;
+        a.delivered <- a.delivered +. take;
+        a.backlog <- a.backlog -. take;
+        let lat = now_ns +. transit_ns -. (float_of_int !head *. slot_ns) in
+        a.latency_sum <- a.latency_sum +. (lat *. take);
+        a.latency_bytes <- a.latency_bytes +. take;
+        if lat > a.latency_max then a.latency_max <- lat;
+        if !rem <= 1e-12 then begin
+          (* pop: the next chunk is the next ON slot's *)
+          if !head_phase + 1 < on then begin
+            incr head;
+            incr head_phase
+          end
+          else begin
+            head := !head + period - !head_phase;
+            head_phase := 0
+          end;
+          rem := bytes
+        end
+      done
+    end;
+    let next_phase = if !phase + 1 = period then 0 else !phase + 1 in
+    if next_phase < on then begin
+      incr t;
+      phase := next_phase;
+      slot := if !slot + 1 = slots then 0 else !slot + 1
+    end
+    else begin
+      (* [t + 1] is OFF, in the current cycle: go to the next ON slot,
+         or to an earlier reserved start while traffic is queued *)
+      let next_on = !t + period - !phase in
+      let target =
+        if !head > !last then next_on
+        else
+          let g = gap.(if !slot + 1 = slots then 0 else !slot + 1) in
+          if g >= next_on - (!t + 1) then next_on else !t + 1 + g
+      in
+      let d = target - !t in
+      t := target;
+      phase := if target = next_on then 0 else !phase + d;
+      slot := (!slot + d) mod slots
+    end
+  done
+
 let simulate_with ~core ~sources ~config ~routes ~duration_slots =
   if duration_slots <= 0 then invalid_arg "Simulator.simulate: non-positive duration";
-  validate_sources ~sources ~routes;
+  let sources = index_sources ~sources ~routes in
   let slots = config.Config.slots in
   let slot_ns = Config.slot_duration_ns config in
   let payload_bytes =
@@ -222,16 +357,19 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
     {
       idx;
       route = r;
-      source = Option.value (List.assoc_opt r.Route.flow_id sources) ~default:Fluid;
+      source = Option.value (Hashtbl.find_opt sources r.Route.flow_id) ~default:Fluid;
       starts;
       gt_transit_ns = slot_ns +. (float_of_int (Route.hops r) *. slot_ns);
       hop_queues = Array.init n_queues (fun _ -> Queue.create ());
-      delivered_bytes = 0.0;
-      backlog = 0.0;
-      backlog_peak = 0.0;
-      latency_sum = 0.0;
-      latency_max = 0.0;
-      latency_bytes = 0.0;
+      acc =
+        {
+          delivered = 0.0;
+          backlog = 0.0;
+          backlog_peak = 0.0;
+          latency_sum = 0.0;
+          latency_max = 0.0;
+          latency_bytes = 0.0;
+        };
     }
   in
   let states = List.mapi make_state routes in
@@ -394,23 +532,27 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
       | `Be_hops entries -> arm_entry be_entries.(entries.(hop))
       | `Gt_mask _ | `Local -> arm_state st.idx
     in
-    (* Arrival processes, resolved once.  The per-slot byte amounts are
-       the exact expressions [arrival_bytes] evaluates, hoisted. *)
+    (* GT connections with a fluid or on/off source run alone in the
+       GT pass; the calendar never sees them. *)
+    let shapes = Array.map (arrival_shape ~slot_ns) states_arr in
+    let alone =
+      Array.map (fun st -> st.route.Route.service = Route.Gt && shapes.(st.idx) <> None) states_arr
+    in
+    let gt_starts =
+      Array.init slots (fun slot ->
+          Array.of_list
+            (List.filter
+               (fun pos -> not alone.(pos))
+               (Array.to_list (Activation.gt_starts_at act ~slot))))
+    in
     let arrivals =
       Array.of_list
         (List.filter_map
            (fun st ->
-             let bw = st.route.Route.bandwidth in
-             match st.source with
-             | Fluid ->
-               let bytes = bw /. 1000.0 *. slot_ns in
-               if bytes > 0.0 then Some (st, `Every_slot bytes) else None
-             | On_off { period_slots = p; duty } ->
-               let on_slots = Float.max 1.0 (Float.round (duty *. float_of_int p)) in
-               let bytes = bw /. 1000.0 *. slot_ns *. (float_of_int p /. on_slots) in
-               if bytes > 0.0 then Some (st, `On_off (p, int_of_float on_slots, bytes, ref false))
-               else None
-             | Replay _ -> None)
+             match shapes.(st.idx) with
+             | Some (bytes, p, on) when bytes > 0.0 && not alone.(st.idx) ->
+               Some (st, if on >= p then `Every_slot bytes else `On_off (p, on, bytes, ref false))
+             | _ -> None)
            states)
     in
     let be_local =
@@ -494,7 +636,7 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
             (take_from_queue ~budget:payload_bytes ~now_ns ~transit_ns:st.gt_transit_ns
                st.hop_queues.(0) ~deliver:true st);
           if Queue.is_empty st.hop_queues.(0) then disarm_state pos)
-        (Activation.gt_starts_at act ~slot);
+        gt_starts.(slot);
       Array.iter
         (fun st ->
           ignore
@@ -526,31 +668,42 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
           Event_wheel.drop_until wheel u;
           loop (u + 1)
     in
-    if Tracer.enabled () then
-      Tracer.with_span ~cat:"sim"
-        ~args:[ ("duration_slots", Tracer.Int duration_slots) ]
-        "sim:event-loop"
-        (fun () -> loop 0)
-    else loop 0;
+    let gt_pass () =
+      Array.iter
+        (fun st ->
+          match shapes.(st.idx) with
+          | Some (bytes, period, on) when bytes > 0.0 && alone.(st.idx) ->
+            run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~on
+          | _ -> ())
+        states_arr
+    in
+    let span name f =
+      if Tracer.enabled () then
+        Tracer.with_span ~cat:"sim" ~args:[ ("duration_slots", Tracer.Int duration_slots) ] name f
+      else f ()
+    in
+    span "sim:gt" gt_pass;
+    span "sim:event-loop" (fun () -> loop 0);
     Metrics.incr ~by:!executed m_events;
     Metrics.incr ~by:(duration_slots - !executed) m_skipped
   in
   (match core with `Reference -> run_reference () | `Event -> run_event ());
   let horizon_ns = float_of_int duration_slots *. slot_ns in
   let finish st =
+    let a = st.acc in
     {
       flow_id = st.route.Route.flow_id;
       src_core = st.route.Route.src_core;
       dst_core = st.route.Route.dst_core;
       service = st.route.Route.service;
       offered_mbps = st.route.Route.bandwidth;
-      delivered_mbps = st.delivered_bytes /. horizon_ns *. 1000.0;
+      delivered_mbps = a.delivered /. horizon_ns *. 1000.0;
       mean_latency_ns =
-        (if st.latency_bytes > 0.0 then st.latency_sum /. st.latency_bytes else 0.0);
-      max_latency_ns = st.latency_max;
+        (if a.latency_bytes > 0.0 then a.latency_sum /. a.latency_bytes else 0.0);
+      max_latency_ns = a.latency_max;
       bound_ns = Route.worst_case_latency_ns ~config st.route;
-      final_backlog_bytes = st.backlog;
-      max_backlog_bytes = st.backlog_peak;
+      final_backlog_bytes = a.backlog;
+      max_backlog_bytes = a.backlog_peak;
     }
   in
   { duration_slots; slot_ns; collisions; conns = List.map finish states }

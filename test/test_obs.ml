@@ -314,6 +314,46 @@ let test_d2_map_json_payload_span () =
   | _ -> Alcotest.fail "payload.write has no int bytes arg");
   Alcotest.(check string) "traced map --json identical" untraced traced
 
+(* A traced simulation runs the GT pass in its own [sim:gt] span next
+   to [sim:event-loop], and returns the same bits as an untraced one. *)
+let test_simulate_gt_span () =
+  let module Sim = Noc_sim.Simulator in
+  let module Route = Noc_arch.Route in
+  let d =
+    match DF.run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let u = List.hd d.DF.all_use_cases in
+  let routes = Noc_core.Mapping.routes_of_use_case d.DF.mapping u.Noc_traffic.Use_case.id in
+  let sources =
+    List.filter_map
+      (fun (r : Route.t) ->
+        if r.Route.service = Route.Gt && r.Route.flow_id mod 2 = 0 then
+          Some (r.Route.flow_id, Sim.On_off { period_slots = 64; duty = 0.25 })
+        else None)
+      routes
+  in
+  let run ~traced =
+    fresh ();
+    Tracer.set_enabled traced;
+    let res =
+      Sim.simulate_sources ~sources ~config:d.DF.mapping.Noc_core.Mapping.config ~routes
+        ~duration_slots:3200
+    in
+    let names = List.map (fun (e : Tracer.event) -> e.name) (Tracer.events ()) in
+    Tracer.set_enabled false;
+    Tracer.reset ();
+    (Marshal.to_string res [], names)
+  in
+  let untraced, none = run ~traced:false in
+  let traced, names = run ~traced:true in
+  let count name = List.length (List.filter (String.equal name) names) in
+  Alcotest.(check int) "untraced records no span" 0 (List.length none);
+  Alcotest.(check int) "one sim:gt" 1 (count "sim:gt");
+  Alcotest.(check int) "one sim:event-loop" 1 (count "sim:event-loop");
+  Alcotest.(check bool) "traced simulation identical" true (String.equal untraced traced)
+
 let () =
   Alcotest.run "obs"
     [
@@ -340,5 +380,6 @@ let () =
         Alcotest.test_case "D1 traced export identical" `Quick test_d1_traced_export_identical
         :: Alcotest.test_case "D2 map --json: one payload.write" `Quick
              test_d2_map_json_payload_span
+        :: Alcotest.test_case "simulate: sim:gt span, same result" `Quick test_simulate_gt_span
         :: List.map QCheck_alcotest.to_alcotest [ prop_traced_export_byte_identical ] );
     ]

@@ -490,6 +490,106 @@ let test_rejects_unknown_flow_source () =
         (Sim.simulate_sources ~sources:[ (7, Sim.Fluid) ] ~config:Config.default
            ~routes:[ r ] ~duration_slots:8))
 
+let test_rejects_duplicate_flow_source () =
+  (* Two sources for one flow id: the first entry used to win silently;
+     the indexed source table rejects the list up front instead. *)
+  let r = mk_route ~id:0 ~bw:10.0 ~links:[ 0 ] ~starts:[ 0 ] () in
+  Alcotest.check_raises "duplicate id"
+    (Invalid_argument "Simulator: two sources for flow id 0") (fun () ->
+      ignore
+        (Sim.simulate_sources
+           ~sources:[ (0, Sim.Fluid); (0, Sim.On_off { period_slots = 8; duty = 0.5 }) ]
+           ~config:Config.default ~routes:[ r ] ~duration_slots:8))
+
+(* Edge cases of the GT pass, which runs each GT connection with a
+   fluid or on/off source on its own: burst phases, idle jumps and the
+   implicit queue must reproduce the tick loop bit for bit. *)
+
+let test_gt_alone_full_duty () =
+  (* duty 1.0: every slot is ON, the pass never jumps *)
+  let r = mk_route ~id:0 ~bw:100.0 ~links:[ 0; 1 ] ~starts:[ 3; 19 ] () in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 16; duty = 1.0 }) ]
+    ~routes:[ r ] ~duration_slots:3200 "duty 1.0"
+
+let test_gt_alone_period_one () =
+  (* a one-slot cycle is ON every slot whatever the duty *)
+  let r = mk_route ~id:0 ~bw:80.0 ~links:[ 0 ] ~starts:[ 7 ] () in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 1; duty = 0.3 }) ]
+    ~routes:[ r ] ~duration_slots:1000 "period_slots = 1"
+
+let test_gt_alone_period_past_horizon () =
+  (* one burst, then an OFF phase that outlasts the horizon: the jump
+     to the next ON slot lands past the end *)
+  let r = mk_route ~id:0 ~bw:40.0 ~links:[ 0 ] ~starts:[ 0; 16 ] () in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 5000; duty = 0.1 }) ]
+    ~routes:[ r ] ~duration_slots:3200 "period longer than the horizon";
+  (* the largest period: its ON length must not overflow to negative *)
+  let be = mk_route ~service:Route.Be ~id:1 ~bw:40.0 ~links:[ 1 ] ~starts:[] () in
+  check_cores_identical
+    ~sources:
+      [
+        (0, Sim.On_off { period_slots = max_int; duty = 1.0 });
+        (1, Sim.On_off { period_slots = max_int; duty = 1.0 });
+      ]
+    ~routes:[ r; be ] ~duration_slots:500 "period max_int"
+
+let test_gt_alone_horizon_mid_burst () =
+  (* the last cycle is cut inside its ON phase *)
+  let r = mk_route ~id:0 ~bw:125.0 ~links:[ 0; 1 ] ~starts:[ 2; 10; 18; 26 ] () in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 64; duty = 0.5 }) ]
+    ~routes:[ r ] ~duration_slots:((64 * 10) + 20) "horizon ends mid-burst"
+
+let test_gt_alone_overbooked () =
+  (* far more offered than one reserved start carries: the queue never
+     drains, so OFF phases jump between reserved starts *)
+  let routes =
+    [
+      mk_route ~id:0 ~bw:500.0 ~links:[ 0 ] ~starts:[ 5 ] ();
+      mk_route ~id:1 ~bw:300.0 ~links:[ 1 ] ~starts:[ 0 ] ();
+    ]
+  in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 40; duty = 0.25 }) ]
+    ~routes ~duration_slots:6400 "overbooked, never drains";
+  let res =
+    Sim.simulate_sources
+      ~sources:[ (0, Sim.On_off { period_slots = 40; duty = 0.25 }) ]
+      ~config:Config.default ~routes ~duration_slots:6400
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "conn %d backlogged at the end" c.Sim.flow_id)
+        true
+        (c.Sim.final_backlog_bytes > 1000.0))
+    res.Sim.conns
+
+let test_gt_alone_same_switch () =
+  (* a same-switch GT route starts on every slot *)
+  let routes =
+    [
+      mk_route ~id:0 ~bw:150.0 ~links:[] ~starts:[] ();
+      mk_route ~id:1 ~bw:90.0 ~links:[] ~starts:[] ();
+    ]
+  in
+  check_cores_identical
+    ~sources:[ (1, Sim.On_off { period_slots = 24; duty = 0.2 }) ]
+    ~routes ~duration_slots:2000 "same-switch GT"
+
+let test_gt_alone_shares_link_with_be () =
+  (* GT (run alone) and BE (on the calendar) on the same links: BE
+     must still see exactly the slots GT owns as taken *)
+  let gt_burst = mk_route ~id:0 ~bw:125.0 ~links:[ 0; 1 ] ~starts:[ 0; 8 ] () in
+  let gt_fluid = mk_route ~id:1 ~bw:62.5 ~links:[ 1 ] ~starts:[ 20 ] () in
+  let be = mk_route ~service:Route.Be ~id:2 ~bw:700.0 ~links:[ 0; 1 ] ~starts:[] () in
+  check_cores_identical
+    ~sources:[ (0, Sim.On_off { period_slots = 96; duty = 0.125 }) ]
+    ~routes:[ gt_burst; gt_fluid; be ] ~duration_slots:6400 "GT and BE share links"
+
 let prop_cores_byte_identical =
   QCheck.Test.make ~name:"event core byte-identical to reference tick loop" ~count:60
     QCheck.(int_bound 1_000_000)
@@ -536,6 +636,50 @@ let prop_cores_byte_identical =
       in
       String.equal (bytes_of_result (run `Event)) (bytes_of_result (run `Reference)))
 
+(* Long horizons on mapped designs, half the GT connections on/off as
+   in the sweep: the GT pass and the tick loop agree over thousands of
+   slots and many burst cycles.  Half the cases replay the design at a
+   frequency whose slot duration is not a whole number of ns, so
+   instants and latencies round and a reordered float operation shows. *)
+let prop_cores_identical_long_horizon =
+  QCheck.Test.make ~name:"cores byte-identical on mapped designs over long horizons" ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Noc_util.Rng.create ~seed in
+      let params =
+        { Noc_benchkit.Synthetic.spread_params with cores = 8; flows_lo = 6; flows_hi = 14 }
+      in
+      let ucs = Noc_benchkit.Synthetic.generate ~seed ~params ~use_cases:2 in
+      let duration_slots = Noc_util.Rng.int_in rng 1600 6400 in
+      let period_slots = Noc_util.Rng.int_in rng 8 300 in
+      let duty = Noc_util.Rng.float_in rng 0.05 1.0 in
+      let phase = Noc_util.Rng.int rng 2 in
+      let freq_mhz = [| None; Some 333.0; Some 217.0 |].(Noc_util.Rng.int rng 3) in
+      match Mapping.map_design ~groups:[ [ 0 ]; [ 1 ] ] ucs with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok m ->
+        let config =
+          match freq_mhz with
+          | None -> m.Mapping.config
+          | Some f -> Config.with_freq m.Mapping.config f
+        in
+        List.for_all
+          (fun u ->
+            let routes = Mapping.routes_of_use_case m u.U.id in
+            let sources =
+              List.filter_map
+                (fun r ->
+                  if r.Route.service = Route.Gt && (r.Route.flow_id + phase) mod 2 = 0 then
+                    Some (r.Route.flow_id, Sim.On_off { period_slots; duty })
+                  else None)
+                routes
+            in
+            let run core =
+              Sim.simulate_with ~core ~sources ~config ~routes ~duration_slots
+            in
+            String.equal (bytes_of_result (run `Event)) (bytes_of_result (run `Reference)))
+          ucs)
+
 let prop_backlog_bound_holds =
   QCheck.Test.make ~name:"NI buffer bound covers simulated peak backlog" ~count:50
     QCheck.(pair (int_range 1 8) (int_range 1 31))
@@ -574,6 +718,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cores_byte_identical;
+      prop_cores_identical_long_horizon;
       prop_backlog_bound_holds;
       prop_random_designs_simulate_cleanly;
     ]
@@ -625,6 +770,14 @@ let () =
           Alcotest.test_case "wheel wrap" `Quick test_cores_agree_wheel_wrap;
           Alcotest.test_case "mixed traffic" `Quick test_cores_agree_mixed_traffic;
           Alcotest.test_case "unknown flow id rejected" `Quick test_rejects_unknown_flow_source;
+          Alcotest.test_case "duplicate flow id rejected" `Quick test_rejects_duplicate_flow_source;
+          Alcotest.test_case "GT alone: duty 1.0" `Quick test_gt_alone_full_duty;
+          Alcotest.test_case "GT alone: period 1" `Quick test_gt_alone_period_one;
+          Alcotest.test_case "GT alone: period past horizon" `Quick test_gt_alone_period_past_horizon;
+          Alcotest.test_case "GT alone: horizon mid-burst" `Quick test_gt_alone_horizon_mid_burst;
+          Alcotest.test_case "GT alone: overbooked" `Quick test_gt_alone_overbooked;
+          Alcotest.test_case "GT alone: same-switch" `Quick test_gt_alone_same_switch;
+          Alcotest.test_case "GT alone: shares links with BE" `Quick test_gt_alone_shares_link_with_be;
         ] );
       ( "buffer_bounds",
         [ Alcotest.test_case "backlog within NI buffer bound" `Quick test_backlog_within_buffer_bound ] );
