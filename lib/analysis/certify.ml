@@ -600,8 +600,15 @@ let sign t = Digest.to_hex (Digest.string (Json.to_string (payload_json t)))
 let signature_ok t = String.equal t.signature (sign t)
 
 let certify ?name m use_cases =
-  let record = certify ?name m use_cases in
-  { record with signature = sign record }
+  let signed () =
+    let record = certify ?name m use_cases in
+    { record with signature = sign record }
+  in
+  if Noc_obs.Tracer.enabled () then
+    Noc_obs.Tracer.with_span ~cat:"certify"
+      ~args:[ ("routes", Noc_obs.Tracer.Int (List.length m.Mapping.routes)) ]
+      "certify" signed
+  else signed ()
 
 let to_json t =
   match payload_json t with

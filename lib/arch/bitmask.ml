@@ -9,15 +9,16 @@ type t = { slots : int; words : int array }
 
 let full_word width = (1 lsl width) - 1
 
+let fill t =
+  for i = 0 to Array.length t.words - 1 do
+    t.words.(i) <- full_word (min word_bits (t.slots - (i * word_bits)))
+  done
+
 let create ~slots ~full =
   if slots <= 0 then invalid_arg "Bitmask.create: need positive slot count";
-  let n = (slots + word_bits - 1) / word_bits in
-  let words = Array.make n 0 in
-  if full then
-    for i = 0 to n - 1 do
-      words.(i) <- full_word (min word_bits (slots - (i * word_bits)))
-    done;
-  { slots; words }
+  let t = { slots; words = Array.make ((slots + word_bits - 1) / word_bits) 0 } in
+  if full then fill t;
+  t
 
 let slots t = t.slots
 
@@ -94,6 +95,22 @@ let next_set_from t i =
     done;
     !found
   end
+
+let indices_into t out =
+  let n = ref 0 in
+  Array.iteri
+    (fun w bits ->
+      let bits = ref bits and i = ref (w * word_bits) in
+      while !bits <> 0 do
+        if !bits land 1 = 1 then begin
+          out.(!n) <- !i;
+          incr n
+        end;
+        bits := !bits lsr 1;
+        incr i
+      done)
+    t.words;
+  !n
 
 let to_list t =
   let acc = ref [] in

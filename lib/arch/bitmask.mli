@@ -40,6 +40,14 @@ val next_set_from : t -> int -> int option
     callers wanting the wheel semantics probe again from 0.
     @raise Invalid_argument when [i] is negative. *)
 
+val fill : t -> unit
+(** Set every bit: the mask [create ~full:true] makes, in place. *)
+
+val indices_into : t -> int array -> int
+(** [indices_into t out] writes the set indices, increasing, to the
+    front of [out] and returns how many there are.  [out] needs room
+    for {!count} entries ([slots] always suffices). *)
+
 val to_list : t -> int list
 (** Set bit indices, increasing. *)
 

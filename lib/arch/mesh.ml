@@ -13,6 +13,7 @@ type t = {
   width : int;
   height : int;
   graph : Noc_graph.Intgraph.t;
+  adjacency : Noc_graph.Shortest_path.adjacency; (* [graph]'s arcs, for routing *)
   endpoints : (int * int) array; (* link id -> (src, dst) *)
   by_pair : (int * int, int) Hashtbl.t; (* (src, dst) -> link id *)
 }
@@ -53,7 +54,15 @@ let create_kind ~kind ~width ~height =
         add_bidir (switch_index ~width ~x ~y:(height - 1)) (switch_index ~width ~x ~y:0)
       done
   end;
-  { kind; width; height; graph = g; endpoints = Array.of_list (List.rev !links); by_pair }
+  {
+    kind;
+    width;
+    height;
+    graph = g;
+    adjacency = Noc_graph.Shortest_path.adjacency g;
+    endpoints = Array.of_list (List.rev !links);
+    by_pair;
+  }
 
 let create ~width ~height = create_kind ~kind:Mesh ~width ~height
 
@@ -79,7 +88,13 @@ let with_express t ~express =
       add a b;
       add b a)
     express;
-  { t with graph = g; endpoints = Array.of_list (List.rev !links); by_pair }
+  {
+    t with
+    graph = g;
+    adjacency = Noc_graph.Shortest_path.adjacency g;
+    endpoints = Array.of_list (List.rev !links);
+    by_pair;
+  }
 
 let kind t = t.kind
 let width t = t.width
@@ -87,6 +102,7 @@ let height t = t.height
 let switch_count t = t.width * t.height
 let link_count t = Array.length t.endpoints
 let graph t = t.graph
+let adjacency t = t.adjacency
 
 let coord t s =
   if s < 0 || s >= switch_count t then invalid_arg "Mesh.coord: bad switch";

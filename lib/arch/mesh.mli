@@ -49,6 +49,9 @@ val link_count : t -> int
 val graph : t -> Noc_graph.Intgraph.t
 (** The directed switch graph; edge ids are link ids. *)
 
+val adjacency : t -> Noc_graph.Shortest_path.adjacency
+(** {!graph}'s arcs in routing form, built once with the mesh. *)
+
 val coord : t -> int -> int * int
 (** [(x, y)] of a switch id. *)
 

@@ -29,7 +29,49 @@ let free_starts ~tables = Bitmask.to_list (free_start_mask ~tables)
 
 (* Pick [count] starts out of the candidates, spreading them around
    the revolution to minimise the worst waiting gap: repeatedly take
-   the candidate closest to the ideal evenly-spaced position. *)
+   the candidate closest to the ideal evenly-spaced position (the
+   lowest index on a tie). *)
+let mark_spread ~slots ~candidates ~n ~count ~taken =
+  Bytes.fill taken 0 n '\000';
+  for k = 0 to count - 1 do
+    let ideal =
+      if k = 0 then candidates.(0) else (candidates.(0) + (k * slots / count)) mod slots
+    in
+    let best = ref (-1) in
+    let best_d = ref max_int in
+    for i = 0 to n - 1 do
+      if Bytes.get taken i = '\000' then begin
+        let d = abs (candidates.(i) - ideal) in
+        let d = Int.min d (slots - d) in
+        if d < !best_d then begin
+          best_d := d;
+          best := i
+        end
+      end
+    done;
+    Bytes.set taken !best '\001'
+  done
+
+let marked_starts ~candidates ~n ~taken =
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if Bytes.get taken i <> '\000' then acc := candidates.(i) :: !acc
+  done;
+  !acc
+
+let marked_max_gap ~slots ~candidates ~n ~taken =
+  let marked = ref 0 and first = ref 0 and last = ref 0 and gap = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get taken i <> '\000' then begin
+      let s = candidates.(i) in
+      if !marked = 0 then first := s else gap := Int.max !gap (s - !last);
+      last := s;
+      incr marked
+    end
+  done;
+  if !marked = 0 then invalid_arg "Tdma.max_start_gap: no starts";
+  Int.max !gap (!first + slots - !last)
+
 let choose_spread ~slots ~candidates ~count =
   if count <= 0 then Some []
   else begin
@@ -37,32 +79,9 @@ let choose_spread ~slots ~candidates ~count =
     let n = Array.length candidates in
     if n < count then None
     else begin
-      let taken = Array.make n false in
-      let chosen = ref [] in
-      let cyclic_dist a b =
-        let d = abs (a - b) in
-        min d (slots - d)
-      in
-      for k = 0 to count - 1 do
-        let ideal =
-          if !chosen = [] then candidates.(0)
-          else (candidates.(0) + (k * slots / count)) mod slots
-        in
-        let best = ref (-1) in
-        let best_d = ref max_int in
-        for i = 0 to n - 1 do
-          if not taken.(i) then begin
-            let d = cyclic_dist candidates.(i) ideal in
-            if d < !best_d then begin
-              best_d := d;
-              best := i
-            end
-          end
-        done;
-        taken.(!best) <- true;
-        chosen := candidates.(!best) :: !chosen
-      done;
-      Some (List.sort compare !chosen)
+      let taken = Bytes.create n in
+      mark_spread ~slots ~candidates ~n ~count ~taken;
+      Some (marked_starts ~candidates ~n ~taken)
     end
   end
 
@@ -80,18 +99,12 @@ let reserve ~tables ~owner ~starts =
 let release ~tables ~owner =
   Array.iter (fun table -> ignore (Slot_table.release_owner table ~owner)) tables
 
+(* A packet arriving just after start s_i waits until s_{i+1}: the
+   largest gap between consecutive starts, cyclically. *)
 let max_start_gap ~slots ~starts =
-  match List.sort compare starts with
-  | [] -> invalid_arg "Tdma.max_start_gap: no starts"
-  | first :: _ as sorted ->
-    (* Gap between consecutive reserved starts, cyclically: a packet
-       arriving just after start s_i waits until s_{i+1}. *)
-    let rec gaps acc = function
-      | [ last ] -> (first + slots - last) :: acc
-      | a :: (b :: _ as rest) -> gaps ((b - a) :: acc) rest
-      | [] -> acc
-    in
-    List.fold_left max 0 (gaps [] sorted)
+  let candidates = Array.of_list (List.sort_uniq compare starts) in
+  let n = Array.length candidates in
+  marked_max_gap ~slots ~candidates ~n ~taken:(Bytes.make n '\001')
 
 let worst_case_latency_ns ~config ~starts ~hops =
   let gap = max_start_gap ~slots:config.Noc_config.slots ~starts in

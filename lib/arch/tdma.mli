@@ -29,6 +29,21 @@ val choose_spread : slots:int -> candidates:int list -> count:int -> int list op
     candidates than [count].  Exposed so that group-shared reservations
     can run the same policy on an *intersection* of free starts. *)
 
+val mark_spread :
+  slots:int -> candidates:int array -> n:int -> count:int -> taken:Bytes.t -> unit
+(** The policy of {!choose_spread} without lists: [candidates.(0 .. n-1)]
+    must be strictly increasing and [1 <= count <= n]; on return
+    exactly [count] bytes of [taken.(0 .. n-1)] are non-zero, marking
+    the chosen candidates.  Allocates nothing, so the mapping engine
+    escalates the count on one candidate array. *)
+
+val marked_starts : candidates:int array -> n:int -> taken:Bytes.t -> int list
+(** The candidates {!mark_spread} marked, increasing. *)
+
+val marked_max_gap : slots:int -> candidates:int array -> n:int -> taken:Bytes.t -> int
+(** {!max_start_gap} of the marked candidates, without building them
+    as a list.  @raise Invalid_argument when none is marked. *)
+
 val find_aligned : tables:Slot_table.t array -> count:int -> int list option
 (** [count] starting slots chosen to minimise the worst-case waiting
     gap (slots are spread as evenly as feasibility allows), or [None]

@@ -25,10 +25,12 @@ type item = {
 
 type engine = Indexed | Reference
 
-(* Pending items of one (src, dst) pair in one group, split by service
-   class; filled once by the indexed engine and emptied by the first
-   route_pair on the pair. *)
-type bucket = { mutable gt : item list; mutable be : item list }
+(* The filler of freshly made item arrays. *)
+let no_item = { uc = -1; flow = Flow.v ~src:0 ~dst:0 0.0; routed = false }
+
+(* Items of one (src, dst) pair in one group, split by service class,
+   in worklist order; the first route_pair on the pair routes them. *)
+type bucket = { gt : item list; be : item list }
 
 (* Binary min-heap of item indices (min index on top), backing the
    rank-partitioned worklist: the sorted-array index doubles as the
@@ -37,6 +39,8 @@ module Int_heap = struct
   type t = { mutable a : int array; mutable n : int }
 
   let create () = { a = Array.make 16 0; n = 0 }
+
+  let clear h = h.n <- 0
 
   let push h x =
     if h.n = Array.length h.a then begin
@@ -131,24 +135,11 @@ let validate_inputs ~groups use_cases =
     groups;
   Array.iteri (fun u s -> if not s then invalid_arg (Printf.sprintf "Mapping: use-case %d in no group" u)) seen
 
-(* Sorted worklist of every (use-case, flow): Algorithm 2 step 2. *)
-let build_items use_cases =
-  let items =
-    List.concat_map
-      (fun u -> List.map (fun f -> { uc = u.Use_case.id; flow = f; routed = false }) u.Use_case.flows)
-      use_cases
-  in
-  let cmp a b =
-    match Flow.compare_bandwidth_desc a.flow b.flow with
-    | 0 -> compare a.uc b.uc
-    | c -> c
-  in
-  Array.of_list (List.sort cmp items)
-
 (* Algorithm 2 step 3: highest-bandwidth unrouted flow, preferring
-   flows whose endpoints are already mapped (both > one > none). *)
+   flows whose endpoints are already mapped (both > one > none);
+   [-1] when every flow is routed. *)
 let pick_item items placement =
-  let best = ref None in
+  let best = ref (-1) in
   let best_rank = ref (-1) in
   let n = Array.length items in
   let i = ref 0 in
@@ -161,73 +152,162 @@ let pick_item items placement =
       in
       if rank > !best_rank then begin
         best_rank := rank;
-        best := Some it
+        best := !i
       end
     end;
     incr i
   done;
   !best
 
+(* What every attempt on one design shares, built once and reset per
+   attempt: the bandwidth-sorted worklist (Algorithm 2 step 2), a dense
+   index of its (src, dst) pairs, the items touching each core, and the
+   per-use-case core loads of the placement budgets. *)
+type context = {
+  groups : int list list;
+  group_list : int list array;
+  cores : int;
+  n_uc : int;
+  items : item array;
+  item_pair : int array;  (* item -> dense pair id *)
+  pair_buckets : bucket array array;  (* pair -> group -> items *)
+  pair_done : Bytes.t;  (* pairs routed in the current attempt *)
+  core_items : int list array;  (* core -> items touching it, in order *)
+  core_load : float array array;  (* use-case -> core -> MB/s *)
+  demand : float array;  (* use-case -> 2 x total bandwidth *)
+  heaps : Int_heap.t array;  (* worklist partitioned by endpoint-mapped rank *)
+}
+
+let context ~groups use_cases =
+  let cores = (List.hd use_cases).Use_case.cores in
+  let n_uc = List.length use_cases in
+  let group_list = Array.of_list groups in
+  let n_groups = Array.length group_list in
+  let group_of = Array.make n_uc (-1) in
+  Array.iteri (fun gi g -> List.iter (fun u -> group_of.(u) <- gi) g) group_list;
+  let items =
+    let cmp a b =
+      match Flow.compare_bandwidth_desc a.flow b.flow with
+      | 0 -> Int.compare a.uc b.uc
+      | c -> c
+    in
+    let sorted =
+      List.sort cmp
+        (List.concat_map
+           (fun u ->
+             List.map (fun f -> { uc = u.Use_case.id; flow = f; routed = false }) u.Use_case.flows)
+           use_cases)
+    in
+    (* Filled from the long-lived [no_item]: an array initialised with
+       a young record would force a minor collection. *)
+    let a = Array.make (List.length sorted) no_item in
+    List.iteri (fun i it -> a.(i) <- it) sorted;
+    a
+  in
+  let n_items = Array.length items in
+  let item_pair = Array.make n_items 0 in
+  let pair_id = Hashtbl.create (max 16 n_items) in
+  Array.iteri
+    (fun i it ->
+      let key = (it.flow.Flow.src * cores) + it.flow.Flow.dst in
+      item_pair.(i) <-
+        (match Hashtbl.find_opt pair_id key with
+        | Some p -> p
+        | None ->
+          let p = Hashtbl.length pair_id in
+          Hashtbl.add pair_id key p;
+          p))
+    items;
+  let n_pairs = Hashtbl.length pair_id in
+  let pair_buckets = Array.init n_pairs (fun _ -> Array.make n_groups { gt = []; be = [] }) in
+  let core_items = Array.make cores [] in
+  for i = n_items - 1 downto 0 do
+    let it = items.(i) in
+    let src = it.flow.Flow.src and dst = it.flow.Flow.dst in
+    core_items.(src) <- i :: core_items.(src);
+    if dst <> src then core_items.(dst) <- i :: core_items.(dst);
+    let row = pair_buckets.(item_pair.(i)) and g = group_of.(it.uc) in
+    let b = row.(g) in
+    row.(g) <-
+      (if Flow.is_guaranteed it.flow then { b with gt = it :: b.gt } else { b with be = it :: b.be })
+  done;
+  let core_load =
+    Array.map
+      (fun u ->
+        let load = Array.make cores 0.0 in
+        List.iter
+          (fun f ->
+            load.(f.Flow.src) <- load.(f.Flow.src) +. f.Flow.bandwidth;
+            load.(f.Flow.dst) <- load.(f.Flow.dst) +. f.Flow.bandwidth)
+          u.Use_case.flows;
+        load)
+      (Array.of_list use_cases)
+  in
+  {
+    groups;
+    group_list;
+    cores;
+    n_uc;
+    items;
+    item_pair;
+    pair_buckets;
+    pair_done = Bytes.create n_pairs;
+    core_items;
+    core_load;
+    demand = Array.of_list (List.map (fun u -> 2.0 *. Use_case.total_bandwidth u) use_cases);
+    heaps = Array.init 3 (fun _ -> Int_heap.create ());
+  }
+
 type placement_mode = Free | Fixed
 
 type placement_bias = Compact | Spread
 
-let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
-  validate_inputs ~groups use_cases;
-  (match Config.validate config with Ok () -> () | Error m -> invalid_arg m);
-  let cores = (List.hd use_cases).Use_case.cores in
-  let n_uc = List.length use_cases in
+(* One attempt on one mesh (the body of Algorithm 2's outer loop).
+   Everything that depends on the mesh, the bias or the placement is
+   made here; the context is reset, not rebuilt. *)
+let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
+  let cores = ctx.cores and n_uc = ctx.n_uc and items = ctx.items in
   let n_switch = Mesh.switch_count mesh in
   let cap = config.Config.nis_per_switch in
   if cores > n_switch * cap then
     Error
       (Printf.sprintf "mesh offers %d NIs but the SoC has %d cores" (n_switch * cap) cores)
   else begin
-    let states = Array.init n_uc (fun u -> Resources.create ~config ~mesh ~use_case:u) in
+    (* Resource states are made on first touch: an attempt that fails
+       while placing its first cores builds no slot table. *)
+    let states = Array.make n_uc None in
+    let touched u = states.(u) in
+    let state u =
+      match states.(u) with
+      | Some s -> s
+      | None ->
+        let s = Resources.create ~config ~mesh ~use_case:u in
+        states.(u) <- Some s;
+        s
+    in
     let placement = Array.copy initial_placement in
     let ni_used = Array.make n_switch 0 in
     Array.iter
       (fun s -> if s >= 0 then ni_used.(s) <- ni_used.(s) + 1)
       placement;
-    let group_list = Array.of_list (List.map (fun g -> g) groups) in
-    let n_groups = Array.length group_list in
-    let group_of = Array.make n_uc (-1) in
-    Array.iteri (fun gi g -> List.iter (fun u -> group_of.(u) <- gi) g) group_list;
-    let items = build_items use_cases in
     let n_items = Array.length items in
     let rank it =
       (if placement.(it.flow.Flow.src) >= 0 then 1 else 0)
       + if placement.(it.flow.Flow.dst) >= 0 then 1 else 0
     in
+    Array.iter (fun it -> it.routed <- false) items;
+    Bytes.fill ctx.pair_done 0 (Bytes.length ctx.pair_done) '\000';
     (* Indexed engine: worklist heaps partitioned by endpoint-mapped
-       rank, plus a (src, dst) -> per-group pending index consumed
-       destructively by route_pair.  Ranks only grow (cores are never
-       unplaced within an attempt), so an item is pushed at most once
-       per rank and stale entries are skipped lazily on pop. *)
-    let heaps = Array.init 3 (fun _ -> Int_heap.create ()) in
-    let core_items = Array.make cores [] in
-    let pending_index : (int, bucket array) Hashtbl.t = Hashtbl.create (max 16 n_items) in
-    if engine = Indexed then begin
-      for i = n_items - 1 downto 0 do
-        let it = items.(i) in
-        Int_heap.push heaps.(rank it) i;
-        let src = it.flow.Flow.src and dst = it.flow.Flow.dst in
-        core_items.(src) <- i :: core_items.(src);
-        if dst <> src then core_items.(dst) <- i :: core_items.(dst);
-        let key = (src * cores) + dst in
-        let buckets =
-          match Hashtbl.find_opt pending_index key with
-          | Some b -> b
-          | None ->
-            let b = Array.init n_groups (fun _ -> { gt = []; be = [] }) in
-            Hashtbl.add pending_index key b;
-            b
-        in
-        let bucket = buckets.(group_of.(it.uc)) in
-        if Flow.is_guaranteed it.flow then bucket.gt <- it :: bucket.gt
-        else bucket.be <- it :: bucket.be
-      done
-    end;
+       rank, plus the dense pair index consumed by route_pair.  Ranks
+       only grow (cores are never unplaced within an attempt), so an
+       item is pushed at most once per rank and stale entries are
+       skipped lazily on pop. *)
+    let heaps = ctx.heaps in
+    Array.iter Int_heap.clear heaps;
+    if engine = Indexed then
+      for i = 0 to n_items - 1 do
+        Int_heap.push heaps.(rank items.(i)) i
+      done;
     (* Rank of items touching [core] just grew: re-file them. *)
     let on_place core =
       if engine = Indexed then
@@ -235,56 +315,49 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
           (fun i ->
             let it = items.(i) in
             if not it.routed then Int_heap.push heaps.(rank it) i)
-          core_items.(core)
+          ctx.core_items.(core)
     in
     let rec pop_rank r =
       match Int_heap.pop heaps.(r) with
-      | None -> None
+      | None -> -1
       | Some i ->
         let it = items.(i) in
-        if it.routed || rank it <> r then pop_rank r else Some it
+        if it.routed || rank it <> r then pop_rank r else i
     in
     let pick () =
       match engine with
       | Reference -> pick_item items placement
-      | Indexed -> (
-        match pop_rank 2 with
-        | Some _ as s -> s
-        | None -> ( match pop_rank 1 with Some _ as s -> s | None -> pop_rank 0))
+      | Indexed ->
+        let i = pop_rank 2 in
+        if i >= 0 then i
+        else
+          let i = pop_rank 1 in
+          if i >= 0 then i else pop_rank 0
     in
     (* Placement admission budgets: a switch may host cores whose
        traffic (per use-case) stays within (a) a fraction of its
        aggregate link bandwidth and (b) a multiple of the mesh-wide
        average load.  (b) is what makes growing the mesh genuinely
        relax contention: on larger meshes cores are forced apart. *)
-    let core_load =
-      Array.map
-        (fun u ->
-          let load = Array.make cores 0.0 in
-          List.iter
-            (fun f ->
-              load.(f.Flow.src) <- load.(f.Flow.src) +. f.Flow.bandwidth;
-              load.(f.Flow.dst) <- load.(f.Flow.dst) +. f.Flow.bandwidth)
-            u.Use_case.flows;
-          load)
-        (Array.of_list use_cases)
-    in
-    let switch_load = Array.make_matrix n_uc n_switch 0.0 in
-    let budget =
+    let core_load = ctx.core_load in
+    let switch_load = Array.make (n_uc * n_switch) 0.0 in
+    let hw_budget =
       let capacity = Config.link_capacity config in
-      Array.init n_uc (fun u ->
-          let total = 2.0 *. Use_case.total_bandwidth (List.nth use_cases u) in
-          let spread = config.Config.placement_spread_factor *. total /. float_of_int n_switch in
-          fun s ->
-            let degree = float_of_int (Noc_graph.Intgraph.degree (Mesh.graph mesh) s) in
-            let hw = config.Config.placement_hw_factor *. 2.0 *. degree *. capacity in
-            Float.min hw spread)
+      Array.init n_switch (fun s ->
+          let degree = float_of_int (Noc_graph.Intgraph.degree (Mesh.graph mesh) s) in
+          config.Config.placement_hw_factor *. 2.0 *. degree *. capacity)
+    in
+    let spread_budget =
+      Array.map
+        (fun total -> config.Config.placement_spread_factor *. total /. float_of_int n_switch)
+        ctx.demand
     in
     Array.iteri
       (fun core s ->
         if s >= 0 then
           for u = 0 to n_uc - 1 do
-            switch_load.(u).(s) <- switch_load.(u).(s) +. core_load.(u).(core)
+            let k = (u * n_switch) + s in
+            switch_load.(k) <- switch_load.(k) +. core_load.(u).(core)
           done)
       placement;
     let admissible core s =
@@ -293,13 +366,17 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
       ||
       let ok = ref true in
       for u = 0 to n_uc - 1 do
-        if switch_load.(u).(s) +. core_load.(u).(core) > budget.(u) s then ok := false
+        if
+          switch_load.((u * n_switch) + s) +. core_load.(u).(core)
+          > Float.min hw_budget.(s) spread_budget.(u)
+        then ok := false
       done;
       !ok
     in
     let commit_load core s =
       for u = 0 to n_uc - 1 do
-        switch_load.(u).(s) <- switch_load.(u).(s) +. core_load.(u).(core)
+        let k = (u * n_switch) + s in
+        switch_load.(k) <- switch_load.(k) +. core_load.(u).(core)
       done
     in
     let routes = ref [] in
@@ -314,12 +391,15 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
        use-case driving the decision; the mesh is direction-symmetric,
        so using the peer as Dijkstra source is a sound heuristic for
        both flow directions. *)
-    let place_core ~state ~bw ~peer core =
-      let needed = max 1 (Path_select.needed_slots state bw) in
+    let place_core ~uc ~bw ~peer core =
+      let needed = max 1 (Config.slots_for_bandwidth config bw) in
       let score =
         match peer with
         | Some p ->
-          let dist = Path_select.distance_map ~state ~needed_slots:needed ~source:p in
+          let dist =
+            Path_select.distance_map ~scratch ?state:(touched uc) ~config ~needed_slots:needed
+              ~source:p ()
+          in
           fun c -> dist.(c)
         | None ->
           let centre = Mesh.center mesh in
@@ -365,13 +445,13 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
         let active_ucs = List.map (fun it -> it.uc) active in
         let passive =
           List.filter_map
-            (fun u -> if List.mem u active_ucs then None else Some states.(u))
+            (fun u -> if List.mem u active_ucs then None else Some (state u))
             group
         in
         let members =
           List.map
             (fun it ->
-              ( states.(it.uc),
+              ( state it.uc,
                 {
                   Path_select.conn_id = fresh_conn ();
                   flow = it.flow;
@@ -380,7 +460,7 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
                 } ))
             active
         in
-        match Path_select.route_shared ~passive ~use_masks ~members () with
+        match Path_select.route_shared ~scratch ~passive ~use_masks ~members () with
         | Ok rs ->
           routes := List.rev_append rs !routes;
           List.iter (fun it -> it.routed <- true) active
@@ -398,7 +478,7 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
               dst_switch;
             }
           in
-          match Path_select.route_be ~state:states.(it.uc) req with
+          match Path_select.route_be ~scratch ~state:(state it.uc) req with
           | Ok r ->
             routes := r :: !routes;
             it.routed <- true
@@ -419,48 +499,46 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
           in
           route_group ~src_core ~dst_core ~group:g ~active:(pending Flow.Guaranteed)
             ~best_effort:(pending Flow.Best_effort))
-        group_list
+        ctx.group_list
     in
-    let route_pair_indexed ~src_core ~dst_core =
-      match Hashtbl.find_opt pending_index ((src_core * cores) + dst_core) with
-      | None -> ()
-      | Some buckets ->
+    (* Every item of a pair is routed by the pair's first route_pair. *)
+    let route_pair_indexed i ~src_core ~dst_core =
+      let p = ctx.item_pair.(i) in
+      if Bytes.get ctx.pair_done p = '\000' then begin
+        Bytes.set ctx.pair_done p '\001';
         Array.iteri
           (fun gi bucket ->
-            let active = bucket.gt and best_effort = bucket.be in
-            bucket.gt <- [];
-            bucket.be <- [];
-            route_group ~src_core ~dst_core ~group:group_list.(gi) ~active ~best_effort)
-          buckets
-    in
-    let route_pair =
-      match engine with
-      | Indexed -> route_pair_indexed
-      | Reference -> route_pair_reference
+            route_group ~src_core ~dst_core ~group:ctx.group_list.(gi) ~active:bucket.gt
+              ~best_effort:bucket.be)
+          ctx.pair_buckets.(p)
+      end
     in
     try
       let continue = ref true in
       while !continue do
-        match pick () with
-        | None -> continue := false
-        | Some it ->
+        let i = pick () in
+        if i < 0 then continue := false
+        else begin
+          let it = items.(i) in
           let src = it.flow.Flow.src and dst = it.flow.Flow.dst in
-          let state = states.(it.uc) in
-          let bw = it.flow.Flow.bandwidth in
+          let uc = it.uc and bw = it.flow.Flow.bandwidth in
           (match mode with
           | Fixed ->
             if placement.(src) < 0 || placement.(dst) < 0 then
               raise (Fail "fixed placement leaves a communicating core unplaced")
           | Free ->
             if placement.(src) < 0 && placement.(dst) < 0 then begin
-              place_core ~state ~bw ~peer:None src;
-              place_core ~state ~bw ~peer:(Some placement.(src)) dst
+              place_core ~uc ~bw ~peer:None src;
+              place_core ~uc ~bw ~peer:(Some placement.(src)) dst
             end
             else if placement.(src) < 0 then
-              place_core ~state ~bw ~peer:(Some placement.(dst)) src
+              place_core ~uc ~bw ~peer:(Some placement.(dst)) src
             else if placement.(dst) < 0 then
-              place_core ~state ~bw ~peer:(Some placement.(src)) dst);
-          route_pair ~src_core:src ~dst_core:dst
+              place_core ~uc ~bw ~peer:(Some placement.(src)) dst);
+          match engine with
+          | Indexed -> route_pair_indexed i ~src_core:src ~dst_core:dst
+          | Reference -> route_pair_reference ~src_core:src ~dst_core:dst
+        end
       done;
       (* Cores untouched by any flow still need an NI each. *)
       Array.iteri
@@ -475,30 +553,54 @@ let run ~config ~mesh ~groups ~mode ~bias ~engine ~initial_placement use_cases =
             ni_used.(!free) <- ni_used.(!free) + 1
           end)
         placement;
-      Ok { config; mesh; placement; routes = List.rev !routes; states; groups }
+      Ok
+        {
+          config;
+          mesh;
+          placement;
+          routes = List.rev !routes;
+          states = Array.init n_uc state;
+          groups = ctx.groups;
+        }
     with Fail msg -> Error msg
   end
 
+let check_config config =
+  match Config.validate config with Ok () -> () | Error m -> invalid_arg m
+
+let prepare ~config ~groups use_cases =
+  validate_inputs ~groups use_cases;
+  check_config config;
+  context ~groups use_cases
+
 let map_on_mesh ?(bias = Compact) ?(engine = Indexed) ~config ~mesh ~groups use_cases =
-  let cores = (List.hd use_cases).Use_case.cores in
-  run ~config ~mesh ~groups ~mode:Free ~bias ~engine
-    ~initial_placement:(Array.make cores (-1)) use_cases
+  let ctx = prepare ~config ~groups use_cases in
+  run ctx ~scratch:(Path_select.scratch ~config ~mesh) ~config ~mesh ~mode:Free ~bias ~engine
+    ~initial_placement:(Array.make ctx.cores (-1))
 
 let map_with_placement ?(engine = Indexed) ~config ~mesh ~groups ~placement use_cases =
-  run ~config ~mesh ~groups ~mode:Fixed ~bias:Compact ~engine ~initial_placement:placement
-    use_cases
+  let ctx = prepare ~config ~groups use_cases in
+  run ctx ~scratch:(Path_select.scratch ~config ~mesh) ~config ~mesh ~mode:Fixed ~bias:Compact
+    ~engine ~initial_placement:placement
 
 (* One mesh-size attempt of the growth loop: greedy Compact placement,
    then the cheap whole-attempt backtrack to Spread (co-location
-   sometimes saturates one region that an emptier spread survives).
-   Exposed for the certificate soundness tests. *)
-let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
-  match map_on_mesh ~bias:Compact ~engine ~config ~mesh ~groups use_cases with
+   sometimes saturates one region that an emptier spread survives). *)
+let attempt_in ctx ~engine ~config ~mesh =
+  let scratch = Path_select.scratch ~config ~mesh in
+  let free = Array.make ctx.cores (-1) in
+  let on bias =
+    run ctx ~scratch ~config ~mesh ~mode:Free ~bias ~engine ~initial_placement:free
+  in
+  match on Compact with
   | Ok t -> Ok t
   | Error compact_msg -> (
-    match map_on_mesh ~bias:Spread ~engine ~config ~mesh ~groups use_cases with
-    | Ok t -> Ok t
-    | Error _ -> Error compact_msg)
+    match on Spread with Ok t -> Ok t | Error _ -> Error compact_msg)
+
+(* Exposed for the certificate soundness tests. *)
+let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
+  let ctx = prepare ~config ~groups use_cases in
+  attempt_in ctx ~engine ~config ~mesh
 
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
@@ -518,7 +620,18 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
     ?(prune = true) ?cache ?seeded ~groups use_cases =
   Metrics.incr m_designs;
   validate_inputs ~groups use_cases;
-  (match Config.validate config with Ok () -> () | Error m -> invalid_arg m);
+  check_config config;
+  (* Built by the first attempt: a design whose every size is pruned,
+     seeded or cached never needs it. *)
+  let built = ref None in
+  let ctx () =
+    match !built with
+    | Some c -> c
+    | None ->
+      let c = context ~groups use_cases in
+      built := Some c;
+      c
+  in
   (* Certificate pruning: every bound is monotone along the growth
      order, so the sizes the certificate rejects form a prefix of it.
      Only that prefix is explained, and it is recorded as failed
@@ -535,10 +648,6 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
     | [] -> (pruned, [])
   in
   let sizes = Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim in
-  let pruned_rev, sizes =
-    if prune then skip_rejected (Feasibility.certify ~config ~groups use_cases) [] sizes
-    else ([], sizes)
-  in
   let attempt (w, h) =
     match (match cache with Some c -> c.lookup ~width:w ~height:h | None -> None) with
     | Some (Ok t) ->
@@ -550,7 +659,7 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
     | None -> (
       Metrics.incr m_attempts;
       let mesh = Mesh.create_kind ~kind:config.Config.topology ~width:w ~height:h in
-      let solve () = map_attempt ~engine ~config ~mesh ~groups use_cases in
+      let solve () = attempt_in (ctx ()) ~engine ~config ~mesh in
       let result =
         if Tracer.enabled () then
           Tracer.with_span ~cat:"map"
@@ -575,14 +684,23 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
       | None -> (
         match attempt size with Ok t -> Ok t | Error a -> grow (a :: attempts) rest))
   in
-  let solve () = grow pruned_rev sizes in
+  let solve () =
+    let certified () = skip_rejected (Feasibility.certify ~config ~groups use_cases) [] sizes in
+    let pruned_rev, sizes =
+      if not prune then ([], sizes)
+      else if Tracer.enabled () then
+        Tracer.with_span ~cat:"map" "feasibility.certify" certified
+      else certified ()
+    in
+    if Tracer.enabled () then Tracer.add_arg "pruned" (Tracer.Int (List.length pruned_rev));
+    grow pruned_rev sizes
+  in
   if Tracer.enabled () then
     Tracer.with_span ~cat:"map"
       ~args:
         [
           ("use_cases", Tracer.Int (List.length use_cases));
           ("groups", Tracer.Int (List.length groups));
-          ("pruned", Tracer.Int (List.length pruned_rev));
         ]
       "map_design" solve
   else solve ()

@@ -25,45 +25,63 @@ let m_be = Metrics.counter "route.be"
 let m_detours = Metrics.counter "route.detours"
 let m_failures = Metrics.counter "route.failures"
 
-let needed_slots state bw = Config.slots_for_bandwidth (Resources.config state) bw
+type scratch = {
+  adjacency : Shortest_path.adjacency;
+  arc_link : int array;  (* arc of [adjacency] -> link id *)
+  paths : Shortest_path.scratch;
+  worst : float array;  (* per link: members' worst utilization *)
+  costs : float array;  (* per arc *)
+  starts : Noc_arch.Bitmask.t;  (* shared feasible starts, rebuilt per path *)
+  candidates : int array;  (* its set bits, increasing *)
+  taken : Bytes.t;  (* candidates picked by the spread policy *)
+}
+
+let scratch ~config ~mesh =
+  let adjacency = Mesh.adjacency mesh and slots = config.Config.slots in
+  let arcs = Shortest_path.arc_count adjacency in
+  {
+    adjacency;
+    arc_link = Array.init arcs (Shortest_path.arc_edge adjacency);
+    paths = Shortest_path.scratch adjacency;
+    worst = Array.make (Mesh.link_count mesh) 0.0;
+    costs = Array.make arcs infinity;
+    starts = Noc_arch.Bitmask.create ~slots ~full:true;
+    candidates = Array.make slots 0;
+    taken = Bytes.create slots;
+  }
 
 (* Link cost seen by a set of group members routing together: usable
-   only if every member still has the needed slots free; congestion is
-   the worst member's utilization, so shared paths avoid regions that
-   are hot in any member.  [excluded] (indexed by link id) lets the
-   caller blacklist links whose slot alignment defeated a previous
-   attempt. *)
-let member_cost ?excluded members ~needed =
-  fun ~edge ~src:_ ~dst:_ ->
-  if (match excluded with Some ex -> ex.(edge) | None -> false) then None
-  else begin
-    let usable =
-      List.for_all
-        (fun state -> Resources.link_usable state ~link:edge ~needed_slots:needed)
-        members
-    in
-    if not usable then None
-    else begin
-      let congestion =
-        List.fold_left
-          (fun acc state -> Float.max acc (Resources.utilization state edge))
-          0.0 members
-      in
-      Some (hop_weight +. (util_weight *. congestion))
-    end
-  end
+   ([< infinity]) only if every member still has the needed slots free;
+   congestion is the worst member's utilization, so shared paths avoid
+   regions that are hot in any member.  [excluded] (indexed by link id)
+   lets the caller blacklist links whose slot alignment defeated a
+   previous attempt.  Written into [scratch.costs], one per arc, with
+   no float boxed on the way. *)
+let fill_costs ?excluded scratch members ~needed =
+  let worst = scratch.worst and costs = scratch.costs in
+  Array.fill worst 0 (Array.length worst) 0.0;
+  List.iter (fun state -> Resources.worst_utilization_into state ~needed_slots:needed worst) members;
+  (match excluded with
+  | Some ex ->
+    for l = 0 to Array.length worst - 1 do
+      if Bytes.get ex l <> '\000' then worst.(l) <- infinity
+    done
+  | None -> ());
+  for k = 0 to Array.length costs - 1 do
+    let w = worst.(scratch.arc_link.(k)) in
+    costs.(k) <- (if w = infinity then infinity else hop_weight +. (util_weight *. w))
+  done
 
-let find_path ?excluded ~leader ~members ~needed ~src ~dst () =
+let find_path ?excluded ~scratch ~leader ~members ~needed ~src ~dst () =
   let mesh = Resources.mesh leader in
   let config = Resources.config leader in
   match config.Config.routing with
-  | Config.Min_cost ->
-    (match
-       Shortest_path.dijkstra (Mesh.graph mesh)
-         ~cost:(member_cost ?excluded members ~needed)
-         ~source:src ~target:dst
-     with
-    | Some p -> Ok p.Shortest_path.edges
+  | Config.Min_cost -> (
+    fill_costs ?excluded scratch members ~needed;
+    Shortest_path.search scratch.paths scratch.adjacency ~costs:scratch.costs ~source:src
+      ~target:dst;
+    match Shortest_path.path_edges scratch.paths ~source:src ~target:dst with
+    | Some edges -> Ok edges
     | None -> Error "no feasible path (bandwidth/slots exhausted)")
   | Config.Xy ->
     let links = Mesh.xy_route mesh ~src ~dst in
@@ -76,26 +94,24 @@ let find_path ?excluded ~leader ~members ~needed ~src ~dst () =
     if ok then Ok links else Error "XY path lacks capacity"
 
 (* Feasible starting slots common to every member along the path:
-   rotate-and-AND every member's per-hop free mask into one accumulator.
-   [common_starts_reference] is the straightforward quadratic
-   list-intersection formulation; the determinism regression test pins
-   the fast path to it. *)
-let common_starts members links =
-  match members with
-  | [] -> invalid_arg "Path_select: no members"
-  | first :: _ ->
-    let slots = (Resources.config first).Config.slots in
-    let acc = Noc_arch.Bitmask.create ~slots ~full:true in
-    List.iter
-      (fun state ->
-        List.iteri
-          (fun hop l ->
-            Noc_arch.Bitmask.inter_rotated ~into:acc
-              (Noc_arch.Slot_table.free_mask (Resources.table state l))
-              ~shift:hop)
-          links)
-      members;
-    Noc_arch.Bitmask.to_list acc
+   rotate-and-AND every member's per-hop free mask into the scratch
+   accumulator, then list its bits into [scratch.candidates]; returns
+   their count.  [common_starts_reference] is the straightforward
+   quadratic list-intersection formulation; the determinism regression
+   test pins the fast path to it. *)
+let common_starts scratch members links =
+  let acc = scratch.starts in
+  Noc_arch.Bitmask.fill acc;
+  List.iter
+    (fun state ->
+      List.iteri
+        (fun hop l ->
+          Noc_arch.Bitmask.inter_rotated ~into:acc
+            (Noc_arch.Slot_table.free_mask (Resources.table state l))
+            ~shift:hop)
+        links)
+    members;
+  Noc_arch.Bitmask.indices_into acc scratch.candidates
 
 let common_starts_reference members links =
   match members with
@@ -118,24 +134,24 @@ let common_starts_reference members links =
 
 (* Smallest spread slot set (>= needed) meeting the latency bound, or
    the reason none does.  More slots shrink the worst waiting gap, so
-   we escalate the count until the bound holds or candidates run out. *)
-let pick_starts ~config ~candidates ~needed ~hops ~lat_req =
+   we escalate the count until the bound holds or candidates run out;
+   every step re-marks the same candidate array. *)
+let pick_starts ~config ~candidates ~n ~taken ~needed ~hops ~lat_req =
   let slots = config.Config.slots in
-  let n_candidates = List.length candidates in
   let rec try_count k =
-    if k > n_candidates then
+    if k > n then
       Error
         (Printf.sprintf "cannot meet latency %.0f ns (feasible starts %d, needed slots %d)"
-           lat_req n_candidates needed)
-    else
-      match Tdma.choose_spread ~slots ~candidates ~count:k with
-      | None -> Error "not enough free aligned slots"
-      | Some starts ->
-        let lat = Tdma.worst_case_latency_ns ~config ~starts ~hops in
-        if lat <= lat_req then Ok starts else try_count (k + 1)
+           lat_req n needed)
+    else begin
+      Tdma.mark_spread ~slots ~candidates ~n ~count:k ~taken;
+      let gap = Tdma.marked_max_gap ~slots ~candidates ~n ~taken in
+      let lat = float_of_int (gap + hops) *. Config.slot_duration_ns config in
+      if lat <= lat_req then Ok (Tdma.marked_starts ~candidates ~n ~taken) else try_count (k + 1)
+    end
   in
-  if n_candidates < needed then
-    Error (Printf.sprintf "only %d aligned slots free, flow needs %d" n_candidates needed)
+  if n < needed then
+    Error (Printf.sprintf "only %d aligned slots free, flow needs %d" n needed)
   else try_count needed
 
 let check_ni members =
@@ -182,7 +198,7 @@ let count_result r =
   (match r with Error _ -> Metrics.incr m_failures | Ok _ -> ());
   r
 
-let route_shared ?(passive = []) ?(use_masks = true) ~members () =
+let route_shared ?scratch:sc ?(passive = []) ?(use_masks = true) ~members () =
   Metrics.incr m_shared;
   match members with
   | [] -> invalid_arg "Path_select.route_shared: no members"
@@ -212,17 +228,18 @@ let route_shared ?(passive = []) ?(use_masks = true) ~members () =
         passive
     in
     let finish links starts =
-      match check_ni (members @ passive_members) with
+      let reserving = members @ passive_members in
+      match check_ni reserving with
       | Error msg -> Error msg
       | Ok () ->
-        charge_ni (members @ passive_members);
-        List.iter
-          (fun (state, req) ->
-            if links <> [] then
+        charge_ni reserving;
+        if links <> [] then
+          List.iter
+            (fun (state, req) ->
               Tdma.reserve
                 ~tables:(Resources.path_tables state links)
                 ~owner:req.conn_id ~starts)
-          (members @ passive_members);
+            reserving;
         Ok
           (List.map
              (fun (state, req) ->
@@ -257,28 +274,45 @@ let route_shared ?(passive = []) ?(use_masks = true) ~members () =
             Some
               (List.fold_left (fun best l' -> if free_on l' < free_on best then l' else best) l rest)
         in
-        let excluded =
-          Array.make (Mesh.link_count (Resources.mesh first_state)) false
+        let scratch =
+          match sc with
+          | Some s -> s
+          | None -> scratch ~config ~mesh:(Resources.mesh first_state)
         in
-        let rec attempt tries last_err =
+        (* The blacklist exists only once a first detour needs it. *)
+        let rec attempt ?excluded tries last_err =
           if tries > max_retries then Error last_err
           else
-            match find_path ~excluded ~leader:first_state ~members:states ~needed ~src ~dst () with
+            match
+              find_path ?excluded ~scratch ~leader:first_state ~members:states ~needed ~src ~dst ()
+            with
             | Error e -> if tries = 0 then Error e else Error last_err
             | Ok links -> (
-              let candidates =
-                if use_masks then common_starts states links
-                else common_starts_reference states links
+              let n =
+                if use_masks then common_starts scratch states links
+                else begin
+                  let starts = common_starts_reference states links in
+                  List.iteri (fun i s -> scratch.candidates.(i) <- s) starts;
+                  List.length starts
+                end
               in
-              match pick_starts ~config ~candidates ~needed ~hops:(List.length links) ~lat_req with
+              match
+                pick_starts ~config ~candidates:scratch.candidates ~n ~taken:scratch.taken ~needed
+                  ~hops:(List.length links) ~lat_req
+              with
               | Ok starts -> finish links starts
               | Error e -> (
                 match scarcest links with
                 | None -> Error e
                 | Some l ->
-                  excluded.(l) <- true;
+                  let excluded =
+                    match excluded with
+                    | Some ex -> ex
+                    | None -> Bytes.make (Array.length scratch.worst) '\000'
+                  in
+                  Bytes.set excluded l '\001';
                   Metrics.incr m_detours;
-                  attempt (tries + 1) e))
+                  attempt ~excluded (tries + 1) e))
         in
         attempt 0 "no feasible path"
       end
@@ -287,7 +321,7 @@ let route_shared ?(passive = []) ?(use_masks = true) ~members () =
 let route ~state req =
   Result.map (fun routes -> List.hd routes) (route_shared ~members:[ (state, req) ] ())
 
-let route_be ~state req =
+let route_be ?scratch:sc ~state req =
   if Flow.is_guaranteed req.flow then
     invalid_arg "Path_select.route_be: guaranteed flow";
   Metrics.incr m_be;
@@ -299,16 +333,24 @@ let route_be ~state req =
   else begin
     (* Any link with at least one free slot can carry BE traffic; the
        cost still steers BE paths away from GT-hot regions. *)
-    match find_path ~leader:state ~members:[ state ] ~needed:0 ~src ~dst () with
+    let scratch =
+      match sc with
+      | Some s -> s
+      | None -> scratch ~config:(Resources.config state) ~mesh:(Resources.mesh state)
+    in
+    match find_path ~scratch ~leader:state ~members:[ state ] ~needed:0 ~src ~dst () with
     | Error _ as e -> e
     | Ok links -> Ok (make_route ~service:Route.Be ~use_case req links [])
   end
 
-let distance_map ~state ~needed_slots ~source =
-  let mesh = Resources.mesh state in
-  let dist, _ =
-    Shortest_path.dijkstra_all (Mesh.graph mesh)
-      ~cost:(member_cost [ state ] ~needed:needed_slots)
-      ~source
-  in
-  dist
+let distance_map ~scratch ?state ~config ~needed_slots ~source () =
+  (match state with
+  | Some state -> fill_costs scratch [ state ] ~needed:needed_slots
+  | None ->
+    (* No reservation yet: every link is free and idle, so these are
+       exactly [fill_costs]'s costs over a fresh state. *)
+    Array.fill scratch.costs 0 (Array.length scratch.costs)
+      (if config.Config.slots >= needed_slots then hop_weight +. (util_weight *. 0.0)
+       else infinity));
+  Shortest_path.search scratch.paths scratch.adjacency ~costs:scratch.costs ~source ~target:(-1);
+  Shortest_path.distances scratch.paths

@@ -15,8 +15,15 @@ type request = {
   dst_switch : int;
 }
 
-val needed_slots : Resources.t -> Noc_util.Units.bandwidth -> int
-(** Slots a bandwidth requires under the state's configuration. *)
+type scratch
+(** Working storage for routing on one mesh under one configuration:
+    the shortest-path arrays and heap, the shared-start mask and its
+    candidate array.  The mapping engine makes one per attempt and
+    passes it to every call, so routing allocates no per-call arrays;
+    without one, each call makes its own.  Not safe to share between
+    domains. *)
+
+val scratch : config:Noc_arch.Noc_config.t -> mesh:Noc_arch.Mesh.t -> scratch
 
 val route : state:Resources.t -> request -> (Noc_arch.Route.t, string) result
 (** Route and reserve one flow in one use-case.  On success the state
@@ -24,6 +31,7 @@ val route : state:Resources.t -> request -> (Noc_arch.Route.t, string) result
     state is untouched. *)
 
 val route_shared :
+  ?scratch:scratch ->
   ?passive:Resources.t list ->
   ?use_masks:bool ->
   members:(Resources.t * request) list ->
@@ -48,7 +56,8 @@ val route_shared :
 
     On failure no state is modified. *)
 
-val route_be : state:Resources.t -> request -> (Noc_arch.Route.t, string) result
+val route_be :
+  ?scratch:scratch -> state:Resources.t -> request -> (Noc_arch.Route.t, string) result
 (** Route one best-effort flow: a least-cost path is chosen (avoiding
     links already hot with guaranteed traffic), but no slots are
     reserved and no resource is charged — BE traffic rides on leftover
@@ -56,10 +65,35 @@ val route_be : state:Resources.t -> request -> (Noc_arch.Route.t, string) result
     @raise Invalid_argument if the request's flow is guaranteed. *)
 
 val distance_map :
-  state:Resources.t -> needed_slots:int -> source:int -> float array
+  scratch:scratch ->
+  ?state:Resources.t ->
+  config:Noc_arch.Noc_config.t ->
+  needed_slots:int ->
+  source:int ->
+  unit ->
+  float array
 (** Least path cost from [source] to every switch, for the placement
     scan of the mapping loop ([infinity] = unreachable with the needed
-    slots). *)
+    slots).  Without [state] the costs are those of a use-case that
+    holds no reservation yet, computed without any slot table.  The
+    result is [scratch]'s live array: read it before the next routing
+    call on the same scratch. *)
+
+val pick_starts :
+  config:Noc_arch.Noc_config.t ->
+  candidates:int array ->
+  n:int ->
+  taken:Bytes.t ->
+  needed:int ->
+  hops:int ->
+  lat_req:Noc_util.Units.latency ->
+  (int list, string) result
+(** The smallest spread set of starting slots, at least [needed] of
+    the [n] strictly increasing [candidates], whose
+    {!Noc_arch.Tdma.worst_case_latency_ns} on a [hops]-link path meets
+    [lat_req]: the count escalates from [needed] with
+    {!Noc_arch.Tdma.mark_spread} on [taken] (room for [n]).  Exposed
+    for the oracle tests. *)
 
 val hop_weight : float
 (** Cost of traversing one link (the fixed component). *)

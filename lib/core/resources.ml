@@ -45,6 +45,16 @@ let link_usable t ~link ~needed_slots = free_slots t link >= needed_slots
 
 let utilization t l = Slot_table.utilization t.tables.(l)
 
+let worst_utilization_into t ~needed_slots worst =
+  for l = 0 to Array.length t.tables - 1 do
+    let tab = t.tables.(l) in
+    if Slot_table.free_count tab < needed_slots then worst.(l) <- infinity
+    else begin
+      let u = Slot_table.utilization tab in
+      if u > worst.(l) then worst.(l) <- u
+    end
+  done
+
 let mean_utilization t =
   let n = Array.length t.tables in
   if n = 0 then 0.0

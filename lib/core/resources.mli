@@ -41,6 +41,13 @@ val link_usable : t -> link:int -> needed_slots:int -> bool
 val utilization : t -> int -> float
 (** Reserved fraction of one link. *)
 
+val worst_utilization_into : t -> needed_slots:int -> float array -> unit
+(** Fold this state into a per-link worst case, for routing several
+    states together: [worst.(l)] becomes [infinity] when link [l] has
+    fewer than [needed_slots] free slots here, and otherwise the larger
+    of [worst.(l)] and the link's {!utilization} (which is never NaN or
+    negative, so this is [Float.max]).  Allocates nothing. *)
+
 val mean_utilization : t -> float
 (** Mean utilization over all links (0 on a 1x1 mesh, which has none). *)
 

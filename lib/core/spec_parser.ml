@@ -188,7 +188,13 @@ let resolve doc =
   | Parse e -> Error e
   | Invalid_argument msg -> Error { line = 0; message = msg }
 
-let parse ~name text = resolve (parse_doc ~name text)
+let parse ~name text =
+  if Noc_obs.Tracer.enabled () then
+    Noc_obs.Tracer.with_span ~cat:"spec"
+      ~args:[ ("bytes", Noc_obs.Tracer.Int (String.length text)) ]
+      "spec_parser.parse"
+      (fun () -> resolve (parse_doc ~name text))
+  else resolve (parse_doc ~name text)
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -333,8 +333,16 @@ let run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~
     end
   done
 
-let simulate_with ~core ~sources ~config ~routes ~duration_slots =
-  if duration_slots <= 0 then invalid_arg "Simulator.simulate: non-positive duration";
+let span ~duration_slots name f =
+  if Tracer.enabled () then
+    Tracer.with_span ~cat:"sim" ~args:[ ("duration_slots", Tracer.Int duration_slots) ] name f
+  else f ()
+
+(* Everything a run builds before its first slot: the activation index,
+   the per-connection states, the BE link entries and, for the event
+   core, its calendar tables.  Returns the states, the collision count
+   and the chosen core's run. *)
+let prepare ~core ~sources ~config ~routes ~duration_slots =
   let sources = index_sources ~sources ~routes in
   let slots = config.Config.slots in
   let slot_ns = Config.slot_duration_ns config in
@@ -475,7 +483,8 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
     Metrics.incr ~by:duration_slots m_events
   in
 
-  (* --- the event core: jump straight to the next slot with work --------- *)
+  (* --- the event core: jump straight to the next slot with work ---------
+     [run_event ()] builds the calendar tables and returns the run. *)
   let run_event () =
     let states_arr = Array.of_list states in
     let wheel = Event_wheel.create ~period:slots in
@@ -677,17 +686,22 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
           | _ -> ())
         states_arr
     in
-    let span name f =
-      if Tracer.enabled () then
-        Tracer.with_span ~cat:"sim" ~args:[ ("duration_slots", Tracer.Int duration_slots) ] name f
-      else f ()
-    in
-    span "sim:gt" gt_pass;
-    span "sim:event-loop" (fun () -> loop 0);
-    Metrics.incr ~by:!executed m_events;
-    Metrics.incr ~by:(duration_slots - !executed) m_skipped
+    fun () ->
+      span ~duration_slots "sim:gt" gt_pass;
+      span ~duration_slots "sim:event-loop" (fun () -> loop 0);
+      Metrics.incr ~by:!executed m_events;
+      Metrics.incr ~by:(duration_slots - !executed) m_skipped
   in
-  (match core with `Reference -> run_reference () | `Event -> run_event ());
+  (states, collisions, match core with `Reference -> run_reference | `Event -> run_event ())
+
+let simulate_with ~core ~sources ~config ~routes ~duration_slots =
+  if duration_slots <= 0 then invalid_arg "Simulator.simulate: non-positive duration";
+  let states, collisions, run =
+    span ~duration_slots "sim:setup" (fun () ->
+        prepare ~core ~sources ~config ~routes ~duration_slots)
+  in
+  run ();
+  let slot_ns = Config.slot_duration_ns config in
   let horizon_ns = float_of_int duration_slots *. slot_ns in
   let finish st =
     let a = st.acc in
@@ -706,7 +720,8 @@ let simulate_with ~core ~sources ~config ~routes ~duration_slots =
       max_backlog_bytes = a.backlog_peak;
     }
   in
-  { duration_slots; slot_ns; collisions; conns = List.map finish states }
+  span ~duration_slots "sim:finish" (fun () ->
+      { duration_slots; slot_ns; collisions; conns = List.map finish states })
 
 let within_contract ?(tolerance = 0.02) r =
   r.collisions = 0

@@ -31,10 +31,10 @@ let validate ~cores t =
 let service_rank = function Guaranteed -> 0 | Best_effort -> 1
 
 let compare_bandwidth_desc a b =
-  match compare (service_rank a.service) (service_rank b.service) with
+  match Int.compare (service_rank a.service) (service_rank b.service) with
   | 0 -> (
-    match compare b.bandwidth a.bandwidth with
-    | 0 -> compare (a.src, a.dst) (b.src, b.dst)
+    match Float.compare b.bandwidth a.bandwidth with
+    | 0 -> ( match Int.compare a.src b.src with 0 -> Int.compare a.dst b.dst | c -> c)
     | c -> c)
   | c -> c
 

@@ -126,6 +126,92 @@ let pareto_sweep_jobs_independent () =
   Alcotest.(check string) "pareto sweep: jobs 4 warm = jobs 1 cold" reference (show (sweep 4 true));
   Alcotest.(check string) "pareto sweep: jobs 1 warm = jobs 1 cold" reference (show (sweep 1 true))
 
+
+(* Pins for what perfbench/goldens.tsv does not cover (it maps only
+   plain meshes with min-cost routing): the torus explore grid, XY
+   routing and a mesh with express channels.  The digests were taken
+   from the binary before the allocation-light routing kernel and the
+   per-design attempt context; the [--json] bytes of [explore d1..d4
+   --torus] and [map d1..d4 --xy] must stay exactly those. *)
+module P = Noc_serve.Protocol
+module Service = Noc_serve.Service
+module Payload = Noc_serve.Payload
+
+let payload_md5 op =
+  match Service.prepare op with
+  | Error (_, msg) -> Alcotest.failf "prepare: %s" msg
+  | Ok job -> (
+    match Service.run job with
+    | Ok o -> Digest.to_hex (Digest.string (Payload.render o))
+    | Error msg -> Alcotest.failf "run: %s" msg)
+
+let bench_spec name =
+  let ucs =
+    match name with
+    | "d1" -> SD.d1 ()
+    | "d2" -> SD.d2 ()
+    | "d3" -> SD.d3 ()
+    | _ -> SD.d4 ()
+  in
+  Noc_core.Spec_parser.to_text (Noc_core.Design_flow.spec_of_use_cases ~name ucs)
+
+let pinned_explore_torus =
+  [
+    ("d1", "5cc5db43dbb280b8b7e4301789e8502b");
+    ("d2", "b9ac09c47d4e712f76f1b1e5908ffa98");
+    ("d3", "aeff877bdbafce66211ed33f5192f66d");
+    ("d4", "5814f6ab658975cf8458ea8f5798bfad");
+  ]
+
+let pinned_map_xy =
+  [
+    ("d1", "3f00905321605444bfd3b66dcce28a43");
+    ("d2", "d450b725a37301774881986d151bbfe1");
+    ("d3", "2edd3d394af06678506199b33c13f475");
+    ("d4", "136d99ee7832e26aff3c63d08736cfe3");
+  ]
+
+let explore_torus_pin (name, md5) () =
+  Alcotest.(check string)
+    ("explore " ^ name ^ " --torus --json")
+    md5
+    (payload_md5
+       (P.Explore
+          {
+            name;
+            spec = bench_spec name;
+            config = P.default_config;
+            frequencies = None;
+            slot_counts = None;
+            torus = true;
+          }))
+
+let map_xy_pin (name, md5) () =
+  Alcotest.(check string)
+    ("map " ^ name ^ " --xy --json")
+    md5
+    (payload_md5
+       (P.Map { name; spec = bench_spec name; config = { P.default_config with P.xy = true } }))
+
+(* Sp5 on a 4x4 mesh with three express channels: the link graph is
+   no longer a grid, so path costs tie differently and the detour
+   blacklist sees links the plain mesh lacks. *)
+let express_pin () =
+  let ucs = Syn.generate ~seed:200 ~params:Syn.spread_params ~use_cases:5 in
+  let mesh =
+    Mesh.with_express (Mesh.create ~width:4 ~height:4) ~express:[ (0, 15); (3, 12); (5, 10) ]
+  in
+  let text =
+    match
+      Mapping.map_attempt ~config:Noc_arch.Noc_config.default ~mesh
+        ~groups:(singleton_groups ucs) ucs
+    with
+    | Ok m -> fingerprint m
+    | Error msg -> "FAILED: " ^ msg
+  in
+  Alcotest.(check string) "Sp5 on an express 4x4" "c3389df596a3d23c5f6e35539a45ef8c"
+    (Digest.to_hex (Digest.string text))
+
 let () =
   Alcotest.run "determinism"
     [
@@ -142,4 +228,13 @@ let () =
           Alcotest.test_case "explore warm = cold" `Quick explore_warm_vs_cold;
           Alcotest.test_case "pareto sweep jobs/warm invariant" `Quick pareto_sweep_jobs_independent;
         ] );
+      ( "pinned outputs",
+        List.map
+          (fun (n, _ as pin) ->
+            Alcotest.test_case ("explore " ^ n ^ " torus") `Quick (explore_torus_pin pin))
+          pinned_explore_torus
+        @ List.map
+            (fun (n, _ as pin) -> Alcotest.test_case ("map " ^ n ^ " xy") `Quick (map_xy_pin pin))
+            pinned_map_xy
+        @ [ Alcotest.test_case "express-channel mapping" `Quick express_pin ] );
     ]

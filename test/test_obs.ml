@@ -354,6 +354,97 @@ let test_simulate_gt_span () =
   Alcotest.(check int) "one sim:event-loop" 1 (count "sim:event-loop");
   Alcotest.(check bool) "traced simulation identical" true (String.equal untraced traced)
 
+(* The per-run setup and the result assembly of a simulation have
+   their own spans, around the GT pass and the event loop (or the
+   reference core's slot loop), and tracing leaves the result's bits
+   alone under either core. *)
+let test_simulate_setup_span () =
+  let module Sim = Noc_sim.Simulator in
+  let d =
+    match DF.run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let u = List.hd d.DF.all_use_cases in
+  let routes = Noc_core.Mapping.routes_of_use_case d.DF.mapping u.Noc_traffic.Use_case.id in
+  let run ~core ~traced =
+    fresh ();
+    Tracer.set_enabled traced;
+    let res =
+      Sim.simulate_with ~core ~sources:[] ~config:d.DF.mapping.Noc_core.Mapping.config ~routes
+        ~duration_slots:1600
+    in
+    let events = Tracer.events () in
+    Tracer.set_enabled false;
+    Tracer.reset ();
+    (Marshal.to_string res [], events)
+  in
+  List.iter
+    (fun (label, core, body) ->
+      let untraced, none = run ~core ~traced:false in
+      let traced, events = run ~core ~traced:true in
+      let named name = List.filter (fun (e : Tracer.event) -> e.name = name) events in
+      let one name =
+        match named name with
+        | [ e ] -> e
+        | es -> Alcotest.failf "%s: %d %s spans" label (List.length es) name
+      in
+      Alcotest.(check int) (label ^ ": untraced records no span") 0 (List.length none);
+      let setup = one "sim:setup" and finish = one "sim:finish" in
+      let first_body =
+        List.fold_left
+          (fun acc (e : Tracer.event) -> Int64.min acc e.Tracer.start_ns)
+          Int64.max_int (named body)
+      in
+      Alcotest.(check bool) (label ^ ": setup ends before the run") true
+        (Int64.compare (Int64.add setup.Tracer.start_ns setup.Tracer.dur_ns) first_body <= 0);
+      Alcotest.(check bool) (label ^ ": finish starts after setup") true
+        (Int64.compare setup.Tracer.start_ns finish.Tracer.start_ns < 0);
+      Alcotest.(check bool) (label ^ ": traced simulation identical") true
+        (String.equal untraced traced))
+    [ ("event", `Event, "sim:gt"); ("reference", `Reference, "sim:slots") ]
+
+(* A traced map and certify run the spec parser, the certificate's
+   explain prefix and the auditor each in their own span, and return
+   the untraced payload bytes. *)
+let test_parse_certificate_certify_spans () =
+  let module P = Noc_serve.Protocol in
+  let text = Noc_core.Spec_parser.to_text (DF.spec_of_use_cases ~name:"d2" (SD.d2 ())) in
+  let run ~traced op =
+    fresh ();
+    Noc_core.Mapping_cache.clear ();
+    Tracer.set_enabled traced;
+    let bytes =
+      match Noc_serve.Service.prepare op with
+      | Error (_, msg) -> Alcotest.fail msg
+      | Ok job -> (
+        match Noc_serve.Service.run job with
+        | Ok o -> Noc_serve.Payload.render o
+        | Error msg -> Alcotest.fail msg)
+    in
+    let names = List.map (fun (e : Tracer.event) -> e.Tracer.name) (Tracer.events ()) in
+    Tracer.set_enabled false;
+    Tracer.reset ();
+    (bytes, names)
+  in
+  List.iter
+    (fun (label, op, spans) ->
+      let untraced, _ = run ~traced:false op in
+      let traced, names = run ~traced:true op in
+      List.iter
+        (fun span ->
+          Alcotest.(check bool) (label ^ " records " ^ span) true (List.mem span names))
+        spans;
+      Alcotest.(check string) (label ^ ": traced payload identical") untraced traced)
+    [
+      ( "map",
+        P.Map { name = "d2"; spec = text; config = P.default_config },
+        [ "spec_parser.parse"; "map_design"; "feasibility.certify" ] );
+      ( "certify",
+        P.Certify { name = "d2"; spec = text; config = P.default_config },
+        [ "spec_parser.parse"; "feasibility.certify"; "certify" ] );
+    ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -381,5 +472,9 @@ let () =
         :: Alcotest.test_case "D2 map --json: one payload.write" `Quick
              test_d2_map_json_payload_span
         :: Alcotest.test_case "simulate: sim:gt span, same result" `Quick test_simulate_gt_span
+        :: Alcotest.test_case "simulate: sim:setup span, same result" `Quick
+             test_simulate_setup_span
+        :: Alcotest.test_case "parse, certificate and certify spans, same bytes" `Quick
+             test_parse_certificate_certify_spans
         :: List.map QCheck_alcotest.to_alcotest [ prop_traced_export_byte_identical ] );
     ]

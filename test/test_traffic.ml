@@ -212,9 +212,44 @@ let prop_sorted_desc =
       in
       mono (U.sorted_flows_desc u))
 
+(* The comparator before its tie-break became monomorphic, verbatim. *)
+let reference_compare_bandwidth_desc a b =
+  let service_rank = function Flow.Guaranteed -> 0 | Flow.Best_effort -> 1 in
+  match compare (service_rank a.Flow.service) (service_rank b.Flow.service) with
+  | 0 -> (
+    match compare b.Flow.bandwidth a.Flow.bandwidth with
+    | 0 -> compare (a.Flow.src, a.Flow.dst) (b.Flow.src, b.Flow.dst)
+    | c -> c)
+  | c -> c
+
+(* Few distinct endpoints and bandwidths, so most pairs tie on service
+   and bandwidth and reach the (src, dst) tie-break; the bandwidths
+   include the values a float comparison treats specially. *)
+let any_flow_gen =
+  QCheck.Gen.(
+    map4
+      (fun src dst bw be ->
+        {
+          (Flow.v ~src ~dst bw) with
+          Flow.service = (if be then Flow.Best_effort else Flow.Guaranteed);
+        })
+      (int_range (-2) 3) (int_range (-2) 3)
+      (oneofl [ 0.0; -0.0; 1.0; 2.5; 1e300; infinity; neg_infinity; nan; max_int |> float_of_int ])
+      bool)
+
+let prop_compare_matches_reference =
+  QCheck.Test.make ~name:"compare_bandwidth_desc = pre-change comparator" ~count:2000
+    (QCheck.make QCheck.Gen.(pair any_flow_gen any_flow_gen))
+    (fun (a, b) -> Flow.compare_bandwidth_desc a b = reference_compare_bandwidth_desc a b)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_merge_preserves_total; prop_merge_unique_pairs; prop_sorted_desc ]
+    [
+      prop_merge_preserves_total;
+      prop_merge_unique_pairs;
+      prop_sorted_desc;
+      prop_compare_matches_reference;
+    ]
 
 let () =
   Alcotest.run "noc_traffic"
