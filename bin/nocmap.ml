@@ -124,8 +124,9 @@ let config_term =
 let jobs_arg =
   let doc =
     "Worker domains for the shared pool (design-space sweeps, minimum-frequency scans, \
-     experiment fan-out).  The mesh-size search itself runs on one domain.  Defaults to \
-     the machine's recommended domain count."
+     experiment fan-out, the simulator's GT pass).  The mesh-size search itself runs on one \
+     domain.  Results do not depend on it.  Defaults to the machine's recommended domain \
+     count."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -512,7 +513,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       ret
-        (const run_simulate $ process_term ~jobs:false () $ input_term () $ config_term
+        (const run_simulate $ process_term () $ input_term () $ config_term
        $ duration_arg $ reference_sim_arg $ sim_json_arg))
 
 (* --- export ------------------------------------------------------------------------ *)

@@ -333,9 +333,19 @@ let run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~
     end
   done
 
-let span ~duration_slots name f =
+(* The GT pass goes to the domain pool only from this much work on,
+   counted as connections run alone x [duration_slots].  Measured on a
+   2-vCPU VM (release): with the workers already up, splitting pays off
+   from about 10k (one call of 16 connections x 1600 slots, 25.6k: 364
+   -> 253 us); spawning the first worker costs about 1.2 ms, which a
+   one-shot [simulate example1] (9.6k per call) or [set_top_box]
+   (12.8k at most) would never win back.  The sweep's calls are 91k to
+   258k, D2's at 3200 slots 176k to 275k. *)
+let gt_pool_floor = 50_000
+
+let span ?(args = []) ~duration_slots name f =
   if Tracer.enabled () then
-    Tracer.with_span ~cat:"sim" ~args:[ ("duration_slots", Tracer.Int duration_slots) ] name f
+    Tracer.with_span ~cat:"sim" ~args:(("duration_slots", Tracer.Int duration_slots) :: args) name f
   else f ()
 
 (* Everything a run builds before its first slot: the activation index,
@@ -677,17 +687,35 @@ let prepare ~core ~sources ~config ~routes ~duration_slots =
           Event_wheel.drop_until wheel u;
           loop (u + 1)
     in
+    (* The GT pass's tasks, in route order.  Each writes only its own
+       connection's [acc] and allocates its own [gap] table, so they
+       may run on any domains in any order. *)
+    let gt_tasks =
+      Array.of_list
+        (List.filter_map
+           (fun st ->
+             match shapes.(st.idx) with
+             | Some (bytes, period, on) when bytes > 0.0 && alone.(st.idx) ->
+               Some (st, bytes, period, on)
+             | _ -> None)
+           states)
+    in
+    let run_task (st, bytes, period, on) =
+      run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~on
+    in
+    let n_alone = Array.length gt_tasks in
+    let jobs =
+      if n_alone * duration_slots < gt_pool_floor then 1
+      else Int.min n_alone (Noc_util.Domain_pool.effective_jobs ())
+    in
     let gt_pass () =
-      Array.iter
-        (fun st ->
-          match shapes.(st.idx) with
-          | Some (bytes, period, on) when bytes > 0.0 && alone.(st.idx) ->
-            run_alone ~slots ~slot_ns ~payload_bytes ~duration_slots st ~bytes ~period ~on
-          | _ -> ())
-        states_arr
+      if jobs <= 1 then Array.iter run_task gt_tasks
+      else ignore (Noc_util.Domain_pool.map_array ~jobs run_task gt_tasks)
     in
     fun () ->
-      span ~duration_slots "sim:gt" gt_pass;
+      span
+        ~args:[ ("alone", Tracer.Int n_alone); ("jobs", Tracer.Int jobs) ]
+        ~duration_slots "sim:gt" gt_pass;
       span ~duration_slots "sim:event-loop" (fun () -> loop 0);
       Metrics.incr ~by:!executed m_events;
       Metrics.incr ~by:(duration_slots - !executed) m_skipped

@@ -34,11 +34,17 @@
     allocation, performing the reference's float operations in the
     reference's order; only BE connections, same-switch BE connections
     and replay sources go through the calendar ([sim:event-loop]).
-    Measured on example1's first use-case (release build, 2-vCPU VM):
-    3200 fluid slots 1.22 -> 0.20 ms, 32000 bursty slots 0.56 -> 0.12
-    ms.
     [sim.events] and [sim.skipped_slots] count the calendar's slots,
-    so a GT-only configuration reports every slot as skipped. *)
+    so a GT-only configuration reports every slot as skipped.
+
+    The GT pass runs on {!Noc_util.Domain_pool}.  Its connections share
+    no state, so from {!gt_pool_floor} on they are split across the
+    pool's domains ([--jobs]); each writes only its own totals, and
+    the result is assembled in route order on the calling domain, so
+    it is byte-identical for any number of jobs.  Below the floor, and
+    in a call made from inside a pool task, the pass runs inline.  The
+    [sim:gt] span reports the connections run alone ([alone]) and the
+    domains used ([jobs]).  The [`Reference] core stays sequential. *)
 
 type conn_stats = {
   flow_id : int;
@@ -119,6 +125,12 @@ val simulate_sources :
   result
 (** [simulate_with ~core:`Event] — source overrides on the event
     core. *)
+
+val gt_pool_floor : int
+(** The work, counted as connections run alone x [duration_slots],
+    from which the event core splits the GT pass across the domain
+    pool; smaller passes run inline, since waking or spawning a worker
+    would cost more than the split saves. *)
 
 val within_contract : ?tolerance:float -> result -> bool
 (** True when every *guaranteed* connection delivered at least

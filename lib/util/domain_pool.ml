@@ -181,10 +181,18 @@ let run_batch ~helpers ~n ~chunk run_task =
   Condition.broadcast work_cond;
   Mutex.unlock mutex;
   drain ~helper:false b;
-  Mutex.lock mutex;
-  while not b.finished do
-    Condition.wait done_cond mutex
-  done;
+  (* The submitter's wait for the helpers still running their last
+     chunks: its own span, so a trace does not leave it as unexplained
+     self time of the caller's span. *)
+  let wait () =
+    Mutex.lock mutex;
+    while not b.finished do
+      Condition.wait done_cond mutex
+    done
+  in
+  if Tracer.enabled () then
+    Tracer.with_span ~cat:"pool" ~args:[ ("batch", Tracer.Int b.id) ] "pool:wait" wait
+  else wait ();
   current := None;
   Metrics.set g_queue_depth 0.0;
   (* Fraction of the process's domains (workers + the submitter) that

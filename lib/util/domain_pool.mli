@@ -3,8 +3,10 @@
 
     The sweep layers of the design flow (design-space exploration,
     minimum-frequency grids, benchmark figures, the daemon's request
-    batches) all reduce to "run these independent closures and give me
-    the results in order".  Spawning a [Domain.t] per closure costs a
+    batches) and the simulator's GT pass (one task per GT connection
+    run alone, above [Noc_sim.Simulator.gt_pool_floor]) all reduce to
+    "run these independent closures and give me the results in
+    order".  Spawning a [Domain.t] per closure costs a
     fresh minor heap and a kernel thread every call; this module
     instead spawns the workers once per process and feeds them batches
     through a chunked, atomically-claimed task queue (each participant
@@ -24,7 +26,11 @@
       inline on its own domain, so the pool never deadlocks and never
       oversubscribes the machine;
     - with one job (or on a single-core machine) everything runs inline
-      on the calling domain — no domains are spawned at all. *)
+      on the calling domain — no domains are spawned at all.
+
+    Traced runs record one [pool:chunk] span per chunk on the domain
+    that ran it, and a [pool:wait] span for the submitter's wait for
+    the helpers after it has drained the queue itself. *)
 
 val default_jobs : unit -> int
 (** Worker budget used when [?jobs] is omitted.  Initially

@@ -354,6 +354,69 @@ let test_simulate_gt_span () =
   Alcotest.(check int) "one sim:event-loop" 1 (count "sim:event-loop");
   Alcotest.(check bool) "traced simulation identical" true (String.equal untraced traced)
 
+(* A traced simulation whose GT pass is split across two domains
+   records the pass's connection count and jobs on [sim:gt], the
+   submitter's wait for its helper in [pool:wait] inside it, and
+   returns the same bits as an untraced run and as one domain. *)
+let test_simulate_gt_pool_spans () =
+  let module Sim = Noc_sim.Simulator in
+  let module Pool = Noc_util.Domain_pool in
+  let d =
+    match DF.run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let u = List.hd d.DF.all_use_cases in
+  let routes = Noc_core.Mapping.routes_of_use_case d.DF.mapping u.Noc_traffic.Use_case.id in
+  let run ~jobs ~traced =
+    fresh ();
+    let saved = Pool.default_jobs () in
+    Pool.set_default_jobs jobs;
+    Tracer.set_enabled traced;
+    let res =
+      Fun.protect
+        ~finally:(fun () ->
+          Tracer.set_enabled false;
+          Pool.set_default_jobs saved)
+        (fun () ->
+          Sim.simulate ~config:d.DF.mapping.Noc_core.Mapping.config ~routes
+            ~duration_slots:3200)
+    in
+    let events = Tracer.events () in
+    Tracer.reset ();
+    (Marshal.to_string res [], events)
+  in
+  let one_domain, _ = run ~jobs:1 ~traced:false in
+  let untraced, _ = run ~jobs:2 ~traced:false in
+  let traced, events = run ~jobs:2 ~traced:true in
+  let named name = List.filter (fun (e : Tracer.event) -> e.Tracer.name = name) events in
+  let gt =
+    match named "sim:gt" with
+    | [ e ] -> e
+    | es -> Alcotest.failf "%d sim:gt spans" (List.length es)
+  in
+  let int_arg key =
+    match List.assoc_opt key gt.Tracer.args with
+    | Some (Tracer.Int n) -> n
+    | _ -> Alcotest.failf "sim:gt has no int %s arg" key
+  in
+  Alcotest.(check bool) "above the pool floor" true
+    (int_arg "alone" * int_arg "duration_slots" >= Sim.gt_pool_floor);
+  Alcotest.(check int) "sim:gt jobs" 2 (int_arg "jobs");
+  let inside (e : Tracer.event) =
+    e.Tracer.domain = gt.Tracer.domain
+    && Int64.compare e.Tracer.start_ns gt.Tracer.start_ns >= 0
+    && Int64.compare
+         (Int64.add e.Tracer.start_ns e.Tracer.dur_ns)
+         (Int64.add gt.Tracer.start_ns gt.Tracer.dur_ns)
+       <= 0
+  in
+  (match named "pool:wait" with
+  | [ w ] -> Alcotest.(check bool) "pool:wait inside sim:gt" true (inside w)
+  | ws -> Alcotest.failf "%d pool:wait spans" (List.length ws));
+  Alcotest.(check bool) "traced = untraced" true (String.equal untraced traced);
+  Alcotest.(check bool) "two domains = one" true (String.equal one_domain untraced)
+
 (* The per-run setup and the result assembly of a simulation have
    their own spans, around the GT pass and the event loop (or the
    reference core's slot loop), and tracing leaves the result's bits
@@ -472,6 +535,8 @@ let () =
         :: Alcotest.test_case "D2 map --json: one payload.write" `Quick
              test_d2_map_json_payload_span
         :: Alcotest.test_case "simulate: sim:gt span, same result" `Quick test_simulate_gt_span
+        :: Alcotest.test_case "simulate on the pool: sim:gt and pool:wait, same result" `Quick
+             test_simulate_gt_pool_spans
         :: Alcotest.test_case "simulate: sim:setup span, same result" `Quick
              test_simulate_setup_span
         :: Alcotest.test_case "parse, certificate and certify spans, same bytes" `Quick

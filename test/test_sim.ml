@@ -714,11 +714,156 @@ let prop_random_designs_simulate_cleanly =
             Sim.within_contract res)
           ucs)
 
+(* --- the GT pass on the domain pool ------------------------------------------ *)
+
+module Pool = Noc_util.Domain_pool
+module Tracer = Noc_obs.Tracer
+
+(* Run [f] with the pool's default worker budget at [jobs], restoring
+   the previous default afterwards. *)
+let with_jobs jobs f =
+  let saved = Pool.default_jobs () in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) f
+
+(* [f]'s result and the [jobs] argument of every [sim:gt] span it
+   recorded, in start order. *)
+let gt_jobs f =
+  Tracer.reset ();
+  Tracer.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Tracer.set_enabled false) f in
+  let jobs =
+    List.filter_map
+      (fun (e : Tracer.event) ->
+        match (e.Tracer.name, List.assoc_opt "jobs" e.Tracer.args) with
+        | "sim:gt", Some (Tracer.Int j) -> Some j
+        | _ -> None)
+      (Tracer.events ())
+  in
+  Tracer.reset ();
+  (r, jobs)
+
+(* The reference core's bytes, and the event core's at 1, 2 and 3
+   jobs with the domains its GT pass used. *)
+let runs_by_jobs ?(config = Config.default) ~sources ~routes ~duration_slots () =
+  let run core =
+    bytes_of_result (Sim.simulate_with ~core ~sources ~config ~routes ~duration_slots)
+  in
+  ( run `Reference,
+    List.map
+      (fun j ->
+        let bytes, used = gt_jobs (fun () -> with_jobs j (fun () -> run `Event)) in
+        (j, bytes, used))
+      [ 1; 2; 3 ] )
+
+(* [n] GT connections on links of their own, every other one on/off as
+   in the sweep. *)
+let independent_gt n =
+  let routes =
+    List.init n (fun id ->
+        mk_route ~id ~bw:(20.0 +. float_of_int (7 * id)) ~links:[ id ]
+          ~starts:[ (id * 3) mod 32; ((id * 3) + 11) mod 32; ((id * 3) + 23) mod 32 ]
+          ())
+  in
+  let sources =
+    List.filter_map
+      (fun r ->
+        if r.Route.flow_id mod 2 = 0 then
+          Some (r.Route.flow_id, Sim.On_off { period_slots = 40 + r.Route.flow_id; duty = 0.35 })
+        else None)
+      routes
+  in
+  (routes, sources)
+
+let test_gt_pool_around_floor () =
+  (* The same design just below the floor (inline at every budget) and
+     just above it (split across the asked-for domains): the bytes
+     match jobs 1 and the reference either way. *)
+  let n = 10 in
+  let routes, sources = independent_gt n in
+  List.iter
+    (fun (label, duration_slots, expect_jobs) ->
+      let reference, by_jobs = runs_by_jobs ~sources ~routes ~duration_slots () in
+      List.iter
+        (fun (j, bytes, used) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs %d = reference" label j)
+            true (String.equal bytes reference);
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: domains used at jobs %d" label j)
+            [ expect_jobs j ] used)
+        by_jobs)
+    [
+      ("below the floor", (Sim.gt_pool_floor / n) - 1, fun _ -> 1);
+      ("above the floor", (Sim.gt_pool_floor / n) + 1, fun j -> j);
+    ]
+
+let test_gt_pool_nested_inline () =
+  (* Simulations submitted from inside pool tasks run their GT pass
+     inline on the task's domain and return what a plain sequential
+     run returns. *)
+  let cases =
+    List.map
+      (fun n ->
+        let routes, sources = independent_gt n in
+        (routes, sources, (2 * Sim.gt_pool_floor / n) + 1))
+      [ 8; 12; 16; 20 ]
+  in
+  let run (routes, sources, duration_slots) =
+    bytes_of_result
+      (Sim.simulate_with ~core:`Event ~sources ~config:Config.default ~routes ~duration_slots)
+  in
+  let sequential = with_jobs 1 (fun () -> List.map run cases) in
+  let nested, used = with_jobs 2 (fun () -> gt_jobs (fun () -> Pool.map ~jobs:2 run cases)) in
+  Alcotest.(check int) "one sim:gt per call" (List.length cases) (List.length used);
+  Alcotest.(check (list int)) "nested GT passes inline" (List.map (fun _ -> 1) cases) used;
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool) (Printf.sprintf "case %d: nested = sequential" i) true (String.equal a b))
+    (List.combine sequential nested)
+
+(* Mapped synthetic designs with the sweep's source mix over 1600-6400
+   slots: the event core gives the same bytes at 1, 2 and 3 jobs as at
+   jobs 1 and as the reference tick loop. *)
+let prop_gt_pass_jobs_independent =
+  QCheck.Test.make ~name:"GT pass byte-identical at 1, 2 and 3 jobs" ~count:10
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Noc_util.Rng.create ~seed in
+      let params =
+        { Noc_benchkit.Synthetic.spread_params with cores = 10; flows_lo = 10; flows_hi = 24 }
+      in
+      let ucs = Noc_benchkit.Synthetic.generate ~seed ~params ~use_cases:2 in
+      let duration_slots = Noc_util.Rng.int_in rng 1600 6400 in
+      let period_slots = [| 40; 50; 80; 100 |].(Noc_util.Rng.int rng 4) in
+      let duty = Noc_util.Rng.float_in rng 0.3 0.7 in
+      let phase = Noc_util.Rng.int rng 2 in
+      match Mapping.map_design ~groups:[ [ 0 ]; [ 1 ] ] ucs with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok m ->
+        List.for_all
+          (fun u ->
+            let routes = Mapping.routes_of_use_case m u.U.id in
+            let sources =
+              List.filter_map
+                (fun r ->
+                  if r.Route.service = Route.Gt && (r.Route.flow_id + phase) mod 2 = 0 then
+                    Some (r.Route.flow_id, Sim.On_off { period_slots; duty })
+                  else None)
+                routes
+            in
+            let reference, by_jobs =
+              runs_by_jobs ~config:m.Mapping.config ~sources ~routes ~duration_slots ()
+            in
+            List.for_all (fun (_, bytes, _) -> String.equal bytes reference) by_jobs)
+          ucs)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cores_byte_identical;
       prop_cores_identical_long_horizon;
+      prop_gt_pass_jobs_independent;
       prop_backlog_bound_holds;
       prop_random_designs_simulate_cleanly;
     ]
@@ -778,6 +923,8 @@ let () =
           Alcotest.test_case "GT alone: overbooked" `Quick test_gt_alone_overbooked;
           Alcotest.test_case "GT alone: same-switch" `Quick test_gt_alone_same_switch;
           Alcotest.test_case "GT alone: shares links with BE" `Quick test_gt_alone_shares_link_with_be;
+          Alcotest.test_case "GT pass: around the pool floor" `Quick test_gt_pool_around_floor;
+          Alcotest.test_case "GT pass: nested in a pool task" `Quick test_gt_pool_nested_inline;
         ] );
       ( "buffer_bounds",
         [ Alcotest.test_case "backlog within NI buffer bound" `Quick test_backlog_within_buffer_bound ] );
