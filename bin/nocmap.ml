@@ -714,7 +714,7 @@ let certify_cmd =
   let doc =
     "Independently certify a mapped design: re-derive slot exclusivity, reserved bandwidth, \
      route well-formedness, NI bounds and static worst-case latency bounds on a code path \
-     separate from the mapping engines, and emit a signed certificate.  Exits 2 on any finding, \
+     separate from the mapping engine, and emit a signed certificate.  Exits 2 on any finding, \
      0 when clean."
   in
   Cmd.v
@@ -798,25 +798,17 @@ let remap_to_arg =
   let doc = "The new revision's spec file." in
   Arg.(required & opt (some string) None & info [ "to" ] ~docv:"NEW.spec" ~doc)
 
-let reference_arg =
-  let doc =
-    "Use the naive reference remapper (no cache, every sub-problem computed directly).  The \
-     result is byte-identical to the default incremental engine — this is the oracle the \
-     correctness CI compares against."
-  in
-  Arg.(value & flag & info [ "reference" ] ~doc)
-
 let remap_json_arg =
   let doc = "Write the remapped design as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let run_remap () from_file to_file reference config no_prune json dump certify =
+let run_remap () from_file to_file config no_prune json dump certify =
   let open Noc_core.Remap in
   ret_of
   @@
   let* op = remap_op config from_file to_file in
   let* job = prepare op in
-  match Service.run ~prune:(not no_prune) ~reference job with
+  match Service.run ~prune:(not no_prune) job with
   | Error msg -> Error msg
   | Ok (Payload.Remapped { old; remap = o } as outcome) ->
     let design = o.design in
@@ -854,9 +846,8 @@ let remap_cmd =
     (Cmd.info "remap" ~doc)
     Term.(
       ret
-        (const run_remap $ process_term () $ remap_from_arg $ remap_to_arg $ reference_arg
-       $ config_term $ no_prune_arg $ remap_json_arg $ dump_arg
-       $ certify_flag_arg))
+        (const run_remap $ process_term () $ remap_from_arg $ remap_to_arg $ config_term
+       $ no_prune_arg $ remap_json_arg $ dump_arg $ certify_flag_arg))
 
 (* --- serve / client -------------------------------------------------------------- *)
 

@@ -4,7 +4,7 @@
     every use-case with guaranteed throughput.  Until now that claim
     was vouched for by the same code that produced the design
     ({!Noc_core.Verify} shares {!Noc_arch.Tdma} and the routing
-    helpers with the mapping engines).  This module is the
+    helpers with the mapping engine).  This module is the
     independent auditor: it takes a finished design — built in this
     process or decoded from a {!Noc_core.Mapping_codec} dump of
     unknown provenance — and re-derives every guarantee from first
@@ -28,7 +28,7 @@
       checked against the flow's constraint.
 
     None of {!Noc_arch.Tdma}, {!Noc_core.Path_select} or
-    {!Noc_core.Verify} is reused, so bugs in the engines (or a
+    {!Noc_core.Verify} is reused, so bugs in the engine (or a
     tampered dump) cannot hide behind shared code.  The result is a
     certificate record — design digest, per-flow bounds, findings —
     carrying a signature over its canonical rendering, so a stored
@@ -38,7 +38,7 @@
     specs the event-core simulator's observed per-flow latencies never
     exceed the static bounds (and some flow meets its bound exactly),
     and every engine-produced design certifies clean, byte-identically
-    across engines. *)
+    to the test suite's reference engine's design. *)
 
 type flow_bound = {
   use_case : int;
@@ -80,7 +80,7 @@ val certify : ?name:string -> Noc_core.Mapping.t -> Noc_traffic.Use_case.t list 
 (** Certify a mapped design against the traffic it claims to serve.
     [use_cases] must be the full expanded list (base + compounds, see
     {!Noc_core.Design_flow.expand}); ids must equal list positions.
-    The mapping may come from anywhere — the in-process engines or a
+    The mapping may come from anywhere — the in-process engine or a
     decoded {!Noc_core.Mapping_codec} dump; nothing about how it was
     produced is trusted. *)
 

@@ -23,8 +23,6 @@ type item = {
   mutable routed : bool;
 }
 
-type engine = Indexed | Reference
-
 (* The filler of freshly made item arrays. *)
 let no_item = { uc = -1; flow = Flow.v ~src:0 ~dst:0 0.0; routed = false }
 
@@ -135,30 +133,6 @@ let validate_inputs ~groups use_cases =
     groups;
   Array.iteri (fun u s -> if not s then invalid_arg (Printf.sprintf "Mapping: use-case %d in no group" u)) seen
 
-(* Algorithm 2 step 3: highest-bandwidth unrouted flow, preferring
-   flows whose endpoints are already mapped (both > one > none);
-   [-1] when every flow is routed. *)
-let pick_item items placement =
-  let best = ref (-1) in
-  let best_rank = ref (-1) in
-  let n = Array.length items in
-  let i = ref 0 in
-  while !best_rank < 2 && !i < n do
-    let it = items.(!i) in
-    if not it.routed then begin
-      let mapped c = placement.(c) >= 0 in
-      let rank =
-        (if mapped it.flow.Flow.src then 1 else 0) + if mapped it.flow.Flow.dst then 1 else 0
-      in
-      if rank > !best_rank then begin
-        best_rank := rank;
-        best := !i
-      end
-    end;
-    incr i
-  done;
-  !best
-
 (* What every attempt on one design shares, built once and reset per
    attempt: the bandwidth-sorted worklist (Algorithm 2 step 2), a dense
    index of its (src, dst) pairs, the items touching each core, and the
@@ -265,7 +239,7 @@ type placement_bias = Compact | Spread
 (* One attempt on one mesh (the body of Algorithm 2's outer loop).
    Everything that depends on the mesh, the bias or the placement is
    made here; the context is reset, not rebuilt. *)
-let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
+let run ctx ~scratch ~config ~mesh ~mode ~bias ~initial_placement =
   let cores = ctx.cores and n_uc = ctx.n_uc and items = ctx.items in
   let n_switch = Mesh.switch_count mesh in
   let cap = config.Config.nis_per_switch in
@@ -297,25 +271,24 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
     in
     Array.iter (fun it -> it.routed <- false) items;
     Bytes.fill ctx.pair_done 0 (Bytes.length ctx.pair_done) '\000';
-    (* Indexed engine: worklist heaps partitioned by endpoint-mapped
-       rank, plus the dense pair index consumed by route_pair.  Ranks
-       only grow (cores are never unplaced within an attempt), so an
-       item is pushed at most once per rank and stale entries are
+    (* Algorithm 2 step 3 picks the highest-bandwidth unrouted flow,
+       preferring flows whose endpoints are already mapped (both > one
+       > none): worklist heaps partitioned by endpoint-mapped rank.
+       Ranks only grow (cores are never unplaced within an attempt), so
+       an item is pushed at most once per rank and stale entries are
        skipped lazily on pop. *)
     let heaps = ctx.heaps in
     Array.iter Int_heap.clear heaps;
-    if engine = Indexed then
-      for i = 0 to n_items - 1 do
-        Int_heap.push heaps.(rank items.(i)) i
-      done;
+    for i = 0 to n_items - 1 do
+      Int_heap.push heaps.(rank items.(i)) i
+    done;
     (* Rank of items touching [core] just grew: re-file them. *)
     let on_place core =
-      if engine = Indexed then
-        List.iter
-          (fun i ->
-            let it = items.(i) in
-            if not it.routed then Int_heap.push heaps.(rank it) i)
-          ctx.core_items.(core)
+      List.iter
+        (fun i ->
+          let it = items.(i) in
+          if not it.routed then Int_heap.push heaps.(rank it) i)
+        ctx.core_items.(core)
     in
     let rec pop_rank r =
       match Int_heap.pop heaps.(r) with
@@ -324,15 +297,13 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
         let it = items.(i) in
         if it.routed || rank it <> r then pop_rank r else i
     in
+    (* [-1] when every flow is routed. *)
     let pick () =
-      match engine with
-      | Reference -> pick_item items placement
-      | Indexed ->
-        let i = pop_rank 2 in
-        if i >= 0 then i
-        else
-          let i = pop_rank 1 in
-          if i >= 0 then i else pop_rank 0
+      let i = pop_rank 2 in
+      if i >= 0 then i
+      else
+        let i = pop_rank 1 in
+        if i >= 0 then i else pop_rank 0
     in
     (* Placement admission budgets: a switch may host cores whose
        traffic (per use-case) stays within (a) a fraction of its
@@ -429,7 +400,6 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
     (* Route the pair (src,dst) in every group that still has unrouted
        flows on that pair: one shared configuration per group (steps
        4-6 of Algorithm 2). *)
-    let use_masks = engine = Indexed in
     let route_group ~src_core ~dst_core ~group ~active ~best_effort =
       let src_switch = placement.(src_core) and dst_switch = placement.(dst_core) in
       let fail_with active msg =
@@ -460,7 +430,7 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
                 } ))
             active
         in
-        match Path_select.route_shared ~scratch ~passive ~use_masks ~members () with
+        match Path_select.route_shared ~scratch ~passive ~members () with
         | Ok rs ->
           routes := List.rev_append rs !routes;
           List.iter (fun it -> it.routed <- true) active
@@ -485,24 +455,8 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
           | Error msg -> fail_with [ it ] msg)
         best_effort
     in
-    let route_pair_reference ~src_core ~dst_core =
-      Array.iter
-        (fun g ->
-          let pending service =
-            Array.to_list items
-            |> List.filter (fun it ->
-                   (not it.routed)
-                   && List.mem it.uc g
-                   && it.flow.Flow.src = src_core
-                   && it.flow.Flow.dst = dst_core
-                   && it.flow.Flow.service = service)
-          in
-          route_group ~src_core ~dst_core ~group:g ~active:(pending Flow.Guaranteed)
-            ~best_effort:(pending Flow.Best_effort))
-        ctx.group_list
-    in
     (* Every item of a pair is routed by the pair's first route_pair. *)
-    let route_pair_indexed i ~src_core ~dst_core =
+    let route_pair i ~src_core ~dst_core =
       let p = ctx.item_pair.(i) in
       if Bytes.get ctx.pair_done p = '\000' then begin
         Bytes.set ctx.pair_done p '\001';
@@ -535,9 +489,7 @@ let run ctx ~scratch ~config ~mesh ~mode ~bias ~engine ~initial_placement =
               place_core ~uc ~bw ~peer:(Some placement.(dst)) src
             else if placement.(dst) < 0 then
               place_core ~uc ~bw ~peer:(Some placement.(src)) dst);
-          match engine with
-          | Indexed -> route_pair_indexed i ~src_core:src ~dst_core:dst
-          | Reference -> route_pair_reference ~src_core:src ~dst_core:dst
+          route_pair i ~src_core:src ~dst_core:dst
         end
       done;
       (* Cores untouched by any flow still need an NI each. *)
@@ -573,24 +525,24 @@ let prepare ~config ~groups use_cases =
   check_config config;
   context ~groups use_cases
 
-let map_on_mesh ?(bias = Compact) ?(engine = Indexed) ~config ~mesh ~groups use_cases =
+let map_on_mesh ?(bias = Compact) ~config ~mesh ~groups use_cases =
   let ctx = prepare ~config ~groups use_cases in
-  run ctx ~scratch:(Path_select.scratch ~config ~mesh) ~config ~mesh ~mode:Free ~bias ~engine
+  run ctx ~scratch:(Path_select.scratch ~config ~mesh) ~config ~mesh ~mode:Free ~bias
     ~initial_placement:(Array.make ctx.cores (-1))
 
-let map_with_placement ?(engine = Indexed) ~config ~mesh ~groups ~placement use_cases =
+let map_with_placement ~config ~mesh ~groups ~placement use_cases =
   let ctx = prepare ~config ~groups use_cases in
   run ctx ~scratch:(Path_select.scratch ~config ~mesh) ~config ~mesh ~mode:Fixed ~bias:Compact
-    ~engine ~initial_placement:placement
+    ~initial_placement:placement
 
 (* One mesh-size attempt of the growth loop: greedy Compact placement,
    then the cheap whole-attempt backtrack to Spread (co-location
    sometimes saturates one region that an emptier spread survives). *)
-let attempt_in ctx ~engine ~config ~mesh =
+let attempt_in ctx ~config ~mesh =
   let scratch = Path_select.scratch ~config ~mesh in
   let free = Array.make ctx.cores (-1) in
   let on bias =
-    run ctx ~scratch ~config ~mesh ~mode:Free ~bias ~engine ~initial_placement:free
+    run ctx ~scratch ~config ~mesh ~mode:Free ~bias ~initial_placement:free
   in
   match on Compact with
   | Ok t -> Ok t
@@ -598,9 +550,9 @@ let attempt_in ctx ~engine ~config ~mesh =
     match on Spread with Ok t -> Ok t | Error _ -> Error compact_msg)
 
 (* Exposed for the certificate soundness tests. *)
-let map_attempt ?(engine = Indexed) ~config ~mesh ~groups use_cases =
+let map_attempt ~config ~mesh ~groups use_cases =
   let ctx = prepare ~config ~groups use_cases in
-  attempt_in ctx ~engine ~config ~mesh
+  attempt_in ctx ~config ~mesh
 
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
@@ -616,7 +568,7 @@ let m_attempt_failures = Metrics.counter "map.attempt_failures"
 let m_attempt_cache_hits = Metrics.counter "map.attempt_cache_hits"
 let m_pruned = Metrics.counter "map.pruned"
 
-let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
+let map_design ?(config = Config.default) ?parallel:_
     ?(prune = true) ?cache ?seeded ~groups use_cases =
   Metrics.incr m_designs;
   validate_inputs ~groups use_cases;
@@ -659,7 +611,7 @@ let map_design ?(config = Config.default) ?(engine = Indexed) ?parallel:_
     | None -> (
       Metrics.incr m_attempts;
       let mesh = Mesh.create_kind ~kind:config.Config.topology ~width:w ~height:h in
-      let solve () = attempt_in (ctx ()) ~engine ~config ~mesh in
+      let solve () = attempt_in (ctx ()) ~config ~mesh in
       let result =
         if Tracer.enabled () then
           Tracer.with_span ~cat:"map"

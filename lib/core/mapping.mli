@@ -7,7 +7,13 @@
     and reserves TDMA slots, per use-case, so infeasible placements are
     pruned as early as possible.  All use-cases share one core
     placement; each keeps its own resource state, and use-cases in one
-    smooth-switching group share one configuration. *)
+    smooth-switching group share one configuration.
+
+    One engine ships: rank-partitioned worklist heaps and a dense
+    (src, dst) pair index.  Its oracle, the straightforward linear
+    scan and per-pair list filtering of the same algorithm, lives with
+    the tests ([test/oracle/reference_mapping.ml]); the two produce
+    byte-identical placements, routes and slot assignments. *)
 
 type t = {
   config : Noc_arch.Noc_config.t;
@@ -33,16 +39,6 @@ val switches_in_use : t -> int
 
 val routes_of_use_case : t -> int -> Noc_arch.Route.t list
 
-type engine =
-  | Indexed
-      (** rank-partitioned worklist heaps, a (src, dst) pending index
-          and bitmask slot intersection — the fast default *)
-  | Reference
-      (** the straightforward scan/filter/list-intersection
-          formulation, kept as the oracle for the determinism
-          regression tests.  Both engines produce byte-identical
-          placements, routes and slot assignments. *)
-
 type attempt_cache = {
   lookup : width:int -> height:int -> (t, string) result option;
   store : width:int -> height:int -> (t, string) result -> unit;
@@ -57,7 +53,6 @@ type attempt_cache = {
 
 val map_design :
   ?config:Noc_arch.Noc_config.t ->
-  ?engine:engine ->
   ?parallel:bool ->
   ?prune:bool ->
   ?cache:attempt_cache ->
@@ -102,7 +97,6 @@ type placement_bias =
 
 val map_on_mesh :
   ?bias:placement_bias ->
-  ?engine:engine ->
   config:Noc_arch.Noc_config.t ->
   mesh:Noc_arch.Mesh.t ->
   groups:int list list ->
@@ -115,7 +109,6 @@ val map_on_mesh :
     greedy co-location paints itself into a corner. *)
 
 val map_attempt :
-  ?engine:engine ->
   config:Noc_arch.Noc_config.t ->
   mesh:Noc_arch.Mesh.t ->
   groups:int list list ->
@@ -127,7 +120,6 @@ val map_attempt :
     certificate soundness tests. *)
 
 val map_with_placement :
-  ?engine:engine ->
   config:Noc_arch.Noc_config.t ->
   mesh:Noc_arch.Mesh.t ->
   groups:int list list ->

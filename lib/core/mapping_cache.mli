@@ -11,9 +11,7 @@
     {!Noc_arch.Noc_config} knob, the smooth-switching groups and each
     use-case's flows (src, dst, hex-exact bandwidth and latency,
     service class) in order.  Use-case and flow {e names} are excluded
-    — renaming traffic does not change the mapping problem — and so is
-    the {!Mapping.engine}, because both engines produce byte-identical
-    results.  Values are results themselves: successes and failures
+    — renaming traffic does not change the mapping problem.  Values are results themselves: successes and failures
     (per mesh size, so a size that cannot map is never re-attempted).
     Every mapping is copied on its way into the store and on every way
     out, so callers never alias a stored state.  Sizes a feasibility

@@ -94,13 +94,9 @@ let find_path ?excluded ~scratch ~leader ~members ~needed ~src ~dst () =
     if ok then Ok links else Error "XY path lacks capacity"
 
 (* Feasible starting slots common to every member along the path:
-   rotate-and-AND every member's per-hop free mask into the scratch
-   accumulator, then list its bits into [scratch.candidates]; returns
-   their count.  [common_starts_reference] is the straightforward
-   quadratic list-intersection formulation; the determinism regression
-   test pins the fast path to it. *)
-let common_starts scratch members links =
-  let acc = scratch.starts in
+   rotate-and-AND every member's per-hop free mask into [acc], then
+   list its bits into [candidates]; returns their count. *)
+let common_starts ~acc ~candidates members links =
   Noc_arch.Bitmask.fill acc;
   List.iter
     (fun state ->
@@ -111,26 +107,7 @@ let common_starts scratch members links =
             ~shift:hop)
         links)
     members;
-  Noc_arch.Bitmask.indices_into acc scratch.candidates
-
-let common_starts_reference members links =
-  match members with
-  | [] -> invalid_arg "Path_select: no members"
-  | first :: rest ->
-    let starts state =
-      let tables = Resources.path_tables state links in
-      let slots = (Resources.config state).Config.slots in
-      let acc = ref [] in
-      for start = slots - 1 downto 0 do
-        if Tdma.start_is_free ~tables ~start then acc := start :: !acc
-      done;
-      !acc
-    in
-    List.fold_left
-      (fun acc state ->
-        let s = starts state in
-        List.filter (fun x -> List.mem x s) acc)
-      (starts first) rest
+  Noc_arch.Bitmask.indices_into acc candidates
 
 (* Smallest spread slot set (>= needed) meeting the latency bound, or
    the reason none does.  More slots shrink the worst waiting gap, so
@@ -198,7 +175,7 @@ let count_result r =
   (match r with Error _ -> Metrics.incr m_failures | Ok _ -> ());
   r
 
-let route_shared ?scratch:sc ?(passive = []) ?(use_masks = true) ~members () =
+let route_shared ?scratch:sc ?(passive = []) ~members () =
   Metrics.incr m_shared;
   match members with
   | [] -> invalid_arg "Path_select.route_shared: no members"
@@ -289,12 +266,7 @@ let route_shared ?scratch:sc ?(passive = []) ?(use_masks = true) ~members () =
             | Error e -> if tries = 0 then Error e else Error last_err
             | Ok links -> (
               let n =
-                if use_masks then common_starts scratch states links
-                else begin
-                  let starts = common_starts_reference states links in
-                  List.iteri (fun i s -> scratch.candidates.(i) <- s) starts;
-                  List.length starts
-                end
+                common_starts ~acc:scratch.starts ~candidates:scratch.candidates states links
               in
               match
                 pick_starts ~config ~candidates:scratch.candidates ~n ~taken:scratch.taken ~needed

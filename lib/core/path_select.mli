@@ -6,7 +6,12 @@
     bandwidth/slot pressure, so heavily loaded regions are avoided.
     Reservation is done immediately — path selection and resource
     reservation are *unified* with mapping, which prunes infeasible
-    placements early. *)
+    placements early.
+
+    The starting slots a path can take are found by intersecting
+    rotated free-slot bitmasks ({!common_starts}); the straightforward
+    list intersection it replaced is its oracle, kept with the tests
+    ([test/oracle/reference_starts.ml]). *)
 
 type request = {
   conn_id : int;             (** unique connection id (slot-table owner) *)
@@ -33,7 +38,6 @@ val route : state:Resources.t -> request -> (Noc_arch.Route.t, string) result
 val route_shared :
   ?scratch:scratch ->
   ?passive:Resources.t list ->
-  ?use_masks:bool ->
   members:(Resources.t * request) list ->
   unit ->
   (Noc_arch.Route.t list, string) result
@@ -49,10 +53,7 @@ val route_shared :
     same slots are reserved there too (owned by the first member's
     connection id), keeping every member's slot tables identical.
 
-    [use_masks] (default [true]) selects the rotate-and-AND bitmask
-    computation of the feasible shared starting slots; [false] falls
-    back to the straightforward list-intersection reference used by the
-    determinism regression tests.  Both compute the same set.
+    The feasible shared starting slots come from {!common_starts}.
 
     On failure no state is modified. *)
 
@@ -78,6 +79,16 @@ val distance_map :
     holds no reservation yet, computed without any slot table.  The
     result is [scratch]'s live array: read it before the next routing
     call on the same scratch. *)
+
+val common_starts :
+  acc:Noc_arch.Bitmask.t -> candidates:int array -> Resources.t list -> int list -> int
+(** The starting slots free on every hop of the path [links] (first
+    hop first) in every one of the states: each hop's free mask,
+    rotated by its hop number, is ANDed into [acc] (refilled first; its
+    size is the slot-table size), and the surviving slots are written,
+    increasing, to the front of [candidates] (room for every slot);
+    returns their count.  Exposed for the oracle tests, which pin it to
+    the straightforward list intersection. *)
 
 val pick_starts :
   config:Noc_arch.Noc_config.t ->

@@ -14,8 +14,6 @@ let m_regrown = Metrics.counter "remap.regrown"
 let m_failures = Metrics.counter "remap.failures"
 let m_dirty_groups = Metrics.counter "remap.dirty_groups"
 
-type mode = Incremental | Reference
-
 type path = Reused | Delta of int | Warm_placement | Regrown
 
 type delta = {
@@ -53,8 +51,8 @@ let diff ~old ~all_use_cases ~groups =
   let new_arr = Array.of_list all_use_cases in
   let old_groups = Array.of_list (List.map (List.sort compare) old.Design_flow.groups) in
   let used = Array.make (Array.length old_groups) false in
-  (* First-fit over old groups in order: deterministic, and shared by
-     both remap modes (the match itself is part of the semantics). *)
+  (* First-fit over old groups in order: deterministic, and the match
+     itself is part of the semantics. *)
   let match_group g =
     let n = List.length g in
     let rec scan i =
@@ -125,8 +123,8 @@ let assemble_mapping ~(old_m : Mapping.t) ~n_new ~groups ~clean ~sub_results =
       states
   in
   (* Retained routes keep their original relative order (renumbered);
-     fresh routes follow in dirty-group order.  Both modes assemble the
-     same way, so the order — and the codec bytes — are pinned. *)
+     fresh routes follow in dirty-group order, so the order — and the
+     codec bytes — are pinned whether sub-problems hit the cache or not. *)
   let retained =
     List.filter_map
       (fun r ->
@@ -153,7 +151,7 @@ let assemble_mapping ~(old_m : Mapping.t) ~n_new ~groups ~clean ~sub_results =
 
 (* --- the remap decision chain ------------------------------------------ *)
 
-let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
+let remap_decide ?config ?(prune = true) ~old spec =
   match spec.Design_flow.use_cases with
   | [] -> Error "remap: no use-cases"
   | first :: _ -> (
@@ -214,17 +212,8 @@ let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
         let cert = Feasibility.certify ~config ~groups:groups_new all_new in
         Feasibility.admits_mesh cert old_m.Mapping.mesh)
     in
-    let solve_fixed ~mesh ~groups ~placement use_cases =
-      match mode with
-      | Incremental -> Mapping_cache.with_placement ~config ~mesh ~groups ~placement use_cases
-      | Reference -> Mapping.map_with_placement ~config ~mesh ~groups ~placement use_cases
-    in
     let regrow () =
-      let cache =
-        match mode with
-        | Incremental -> Mapping_cache.design_cache ~config ~groups:groups_new all_new
-        | Reference -> None
-      in
+      let cache = Mapping_cache.design_cache ~config ~groups:groups_new all_new in
       match Mapping.map_design ~config ~prune ?cache ~groups:groups_new all_new with
       | Ok m -> Ok (finish Regrown m)
       | Error failure ->
@@ -238,7 +227,7 @@ let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
       if not (placement_fits && Lazy.force frame_admitted) then regrow ()
       else
         match
-          solve_fixed ~mesh:old_m.Mapping.mesh ~groups:groups_new
+          Mapping_cache.with_placement ~config ~mesh:old_m.Mapping.mesh ~groups:groups_new
             ~placement:old_m.Mapping.placement all_new
         with
         | Ok m -> Ok (finish Warm_placement m)
@@ -282,7 +271,7 @@ let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
           in
           let sub_groups = [ List.init (List.length g) Fun.id ] in
           match
-            solve_fixed ~mesh:old_m.Mapping.mesh ~groups:sub_groups
+            Mapping_cache.with_placement ~config ~mesh:old_m.Mapping.mesh ~groups:sub_groups
               ~placement:old_m.Mapping.placement sub_ucs
           with
           | Ok sub -> route_dirty ((g, sub) :: acc) rest
@@ -302,8 +291,8 @@ let remap_decide ?config ?(mode = Incremental) ?(prune = true) ~old spec =
 (* Decision-path counters are charged on the final verdict only: the
    chain may build a spliced candidate and then discard it at the
    [acceptable] gate, and a discarded candidate is not an outcome. *)
-let remap ?config ?mode ?prune ~old spec =
-  let decide () = remap_decide ?config ?mode ?prune ~old spec in
+let remap ?config ?prune ~old spec =
+  let decide () = remap_decide ?config ?prune ~old spec in
   let result =
     if Tracer.enabled () then
       Tracer.with_span ~cat:"remap"

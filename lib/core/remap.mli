@@ -34,24 +34,19 @@
     + {b Regrown} — the full growth search, exactly
       {!Mapping.map_design} on the new problem.
 
-    The same decision chain runs in both modes below; {!Incremental}
-    merely serves each step from the content-addressed cache
+    Each step is served from the content-addressed cache
     ({!Mapping_cache.with_placement} keys each dirty component's
     sub-problem by its own digest, so repeated churn steps memoize
-    per component).  [Incremental] and [Reference] results are
-    byte-identical — property-tested over random churn sequences in
-    [test/test_remap.ml], cache on or off, pruning on or off.
+    per component).  With the cache off ([--no-cache],
+    {!Mapping_cache.set_enabled}[ false]) every sub-problem is computed
+    directly: that run is the oracle.  Both give byte-identical
+    results — property-tested over random churn sequences in
+    [test/test_remap.ml], pruning on or off.
 
     The retained mesh is never shrunk: removing a use-case keeps the
     old mesh even when a smaller one would now suffice (configuration
     stability is the point of remapping — a full re-run recovers the
     minimal mesh when wanted). *)
-
-type mode =
-  | Incremental  (** serve sub-problems through {!Mapping_cache} *)
-  | Reference
-      (** the naive oracle: same decision chain, every sub-problem
-          computed directly, no cache.  Byte-identical results. *)
 
 type path =
   | Reused          (** pure removal/renumbering; no routing ran *)
@@ -86,7 +81,6 @@ val diff :
 
 val remap :
   ?config:Noc_arch.Noc_config.t ->
-  ?mode:mode ->
   ?prune:bool ->
   old:Design_flow.t ->
   Design_flow.spec ->

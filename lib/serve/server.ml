@@ -140,25 +140,24 @@ let handle_line t c line =
 
 let read_chunk = Bytes.create 65536
 
-let drain_lines c =
-  (* Split complete lines off the front of [inbuf]. *)
-  let text = Buffer.contents c.inbuf in
-  let lines = ref [] in
-  let start = ref 0 in
-  String.iteri (fun i ch -> if ch = '\n' then begin
-      lines := String.sub text !start (i - !start) :: !lines;
-      start := i + 1
-    end) text;
-  Buffer.clear c.inbuf;
-  Buffer.add_substring c.inbuf text !start (String.length text - !start);
-  List.rev !lines
-
+(* [inbuf] holds the partial line earlier reads left, which has no
+   newline, so only the [n] new bytes are scanned: a long line that
+   arrives in small pieces costs time linear in its length. *)
 let handle_readable t c =
   match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> drop_client t c
   | n ->
-    Buffer.add_subbytes c.inbuf read_chunk 0 n;
-    List.iter (handle_line t c) (drain_lines c)
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get read_chunk i = '\n' then begin
+        Buffer.add_subbytes c.inbuf read_chunk !start (i - !start);
+        let line = Buffer.contents c.inbuf in
+        Buffer.clear c.inbuf;
+        start := i + 1;
+        handle_line t c line
+      end
+    done;
+    Buffer.add_subbytes c.inbuf read_chunk !start (n - !start)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_client t c
 

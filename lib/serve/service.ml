@@ -177,8 +177,7 @@ let plan jobs =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let run ?(prune = true) ?(refine = false) ?post ?(warm = true)
-    ?(reference = false) j =
+let run ?(prune = true) ?(refine = false) ?post ?(warm = true) j =
   let ( let* ) = Result.bind in
   match j.kind with
   | Map_k { spec; config } ->
@@ -196,8 +195,7 @@ let run ?(prune = true) ?(refine = false) ?post ?(warm = true)
          (Noc_analysis.Certify.certify ~name:spec.DF.name d.DF.mapping d.DF.all_use_cases))
   | Remap_k { old_spec; new_spec; config } ->
     let* old = DF.run ~config ~prune old_spec in
-    let mode = if reference then Noc_core.Remap.Reference else Noc_core.Remap.Incremental in
-    let* remap = Noc_core.Remap.remap ~config ~mode ~prune ~old new_spec in
+    let* remap = Noc_core.Remap.remap ~config ~prune ~old new_spec in
     Ok (Payload.Remapped { old; remap })
 
 let execute j = Result.map Payload.render (run j)

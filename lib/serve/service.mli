@@ -69,18 +69,17 @@ val run :
   ?refine:bool ->
   ?post:(Noc_core.Design_flow.t -> (unit, string) result) ->
   ?warm:bool ->
-  ?reference:bool ->
   job ->
   (Payload.outcome, string) result
 (** Execute one job inline.  [Error] carries the operation's own
     failure (an unmappable spec, say).  The optional arguments are the
     CLI's engine and escape-hatch flags, each defaulting to the
-    daemon's behaviour.  These three change only how the outcome is
+    daemon's behaviour.  These two change only how the outcome is
     found, never the outcome: [prune] (default [true]; [--no-prune])
-    skips certified-infeasible sizes, [warm] (default [true];
-    [--cold]) seeds explore points from solved neighbours, and
-    [reference] (default [false]; [remap --reference])
-    runs the naive remap oracle.  [refine] (default [false];
+    skips certified-infeasible sizes, and [warm] (default [true];
+    [--cold]) seeds explore points from solved neighbours.  The remap
+    oracle is no option here: it is the same call with the cache off
+    ([--no-cache]).  [refine] (default [false];
     [map --refine]) adds the annealing refinement and [post] a final
     design-flow phase ([map --certify]); both apply to [map] only. *)
 

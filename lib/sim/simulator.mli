@@ -23,7 +23,10 @@
     The [`Reference] core is the pinned tick loop stepping every slot.
     Both run the same per-slot operations in the same order, so their
     results are byte-identical on every source mix (pinned by a QCheck
-    property in [test_sim.ml] and a CI [cmp] job).
+    property in [test_sim.ml] and a CI [cmp] job).  It is the one
+    oracle still shipped in a library: the end-to-end benchmark driver
+    calls {!simulate_with} with [~core], so the selector stays until
+    that driver changes; the other oracles live in [test/oracle/].
 
     GT connections run alone.  A GT connection with a fluid or on/off
     source interacts with nothing: its launches are fixed by its

@@ -1,8 +1,7 @@
 (** Disjoint-set forest with path compression and union by rank.
 
-    An alternative substrate for use-case grouping and a handy checker
-    in property tests (component structure computed two independent
-    ways must agree). *)
+    The oracle of {!Noc_graph.Components}: component structure computed
+    two independent ways must agree. *)
 
 type t
 

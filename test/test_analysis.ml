@@ -228,7 +228,7 @@ let prop_certificate_soundness =
           Feasibility.admits cert ~width:w ~height:h
           ||
           let mesh = Mesh.create_kind ~kind:Mesh.Mesh ~width:w ~height:h in
-          match Mapping.map_attempt ~engine:Mapping.Reference ~config ~mesh ~groups ucs with
+          match Noc_oracle.Reference_mapping.map_attempt ~config ~mesh ~groups ucs with
           | Error _ -> true
           | Ok _ -> false)
         (Mesh.growth_sequence ~max_dim:config.Config.max_mesh_dim))

@@ -267,13 +267,16 @@ let prop_engines_certify_identically =
           (Syn.generate ~seed ~params:small_params ~use_cases:2)
       in
       let all, _, groups = DF.expand spec in
-      let map engine =
-        match Mapping.map_design ~engine ~groups all with
+      let mapped = function
         | Ok m -> m
         | Error _ -> QCheck.Test.fail_reportf "seed %d: engine failed to map" seed
       in
-      let indexed = C.certify ~name:"engines" (map Mapping.Indexed) all in
-      let reference = C.certify ~name:"engines" (map Mapping.Reference) all in
+      let indexed = C.certify ~name:"engines" (mapped (Mapping.map_design ~groups all)) all in
+      let reference =
+        C.certify ~name:"engines"
+          (mapped (Noc_oracle.Reference_mapping.map_design ~groups all))
+          all
+      in
       if not (C.clean indexed) then QCheck.Test.fail_reportf "seed %d: indexed not clean" seed;
       String.equal
         (Json.to_string (C.to_json indexed))

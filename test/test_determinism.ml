@@ -1,7 +1,9 @@
-(* Determinism regression: the indexed/bitset mapping engine (worklist
-   heaps, pending index, rotate-and-AND slot intersection) must produce
-   byte-identical designs to the straightforward Reference formulation
-   — the reproduction tables in EXPERIMENTS.md depend on it. *)
+(* Determinism regression: the shipped mapping engine (worklist heaps,
+   pair index) must produce byte-identical designs to the
+   straightforward formulation in [Noc_oracle.Reference_mapping], and
+   its rotate-and-AND slot intersection must find exactly the starts
+   of [Noc_oracle.Reference_starts]' list intersection — the
+   reproduction tables in EXPERIMENTS.md depend on it. *)
 
 module Mapping = Noc_core.Mapping
 module Route = Noc_arch.Route
@@ -27,16 +29,15 @@ let fingerprint (m : Mapping.t) =
     m.Mapping.routes;
   Buffer.contents b
 
-let design ~engine ~groups ucs =
-  match Mapping.map_design ~engine ~groups ucs with
+let design = function
   | Ok m -> fingerprint m
   | Error f -> Format.asprintf "FAILED: %a" Mapping.pp_failure f
 
 let check_workload name ~groups ucs () =
   Alcotest.(check string)
     (name ^ ": indexed = reference")
-    (design ~engine:Mapping.Reference ~groups ucs)
-    (design ~engine:Mapping.Indexed ~groups ucs)
+    (design (Noc_oracle.Reference_mapping.map_design ~groups ucs))
+    (design (Mapping.map_design ~groups ucs))
 
 let singleton_groups ucs = List.mapi (fun i _ -> [ i ]) ucs
 
@@ -53,6 +54,51 @@ let synthetic_case ~seed () =
 let grouped_case () =
   let ucs = Syn.generate ~seed:300 ~params:Syn.bottleneck_params ~use_cases:5 in
   check_workload "Bot5 grouped" ~groups:[ [ 0; 1 ]; [ 2; 3; 4 ] ] ucs ()
+
+(* One to three use-case states with randomly taken slots (each link
+   its own density) on meshes and tori up to 5x4, XY paths between
+   random switch pairs (up to seven hops), each state alone and all
+   together, at table sizes on both sides of one mask word. *)
+let prop_common_starts_match_reference =
+  QCheck.Test.make ~name:"common_starts = list intersection" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let slots = pick [| 4; 8; 16; 32; 62; 63; 70 |] in
+      let config = { Noc_arch.Noc_config.default with Noc_arch.Noc_config.slots } in
+      let mesh =
+        Mesh.create_kind ~kind:(pick [| Mesh.Mesh; Mesh.Torus |])
+          ~width:(2 + Random.State.int rng 4) ~height:(1 + Random.State.int rng 4)
+      in
+      let states =
+        List.init
+          (1 + Random.State.int rng 3)
+          (fun u ->
+            let st = Noc_core.Resources.create ~config ~mesh ~use_case:u in
+            for l = 0 to Mesh.link_count mesh - 1 do
+              let taken = Random.State.int rng 4 in
+              for slot = 0 to slots - 1 do
+                if Random.State.int rng 8 < taken then
+                  Noc_arch.Slot_table.reserve (Noc_core.Resources.table st l) ~slot ~owner:l
+              done
+            done;
+            st)
+      in
+      let acc = Noc_arch.Bitmask.create ~slots ~full:true and candidates = Array.make slots 0 in
+      let agree links members =
+        let n = Noc_core.Path_select.common_starts ~acc ~candidates members links in
+        Array.to_list (Array.sub candidates 0 n)
+        = Noc_oracle.Reference_starts.common_starts members links
+      in
+      let n_switch = Mesh.switch_count mesh in
+      let random_xy _ =
+        Mesh.xy_route mesh ~src:(Random.State.int rng n_switch) ~dst:(Random.State.int rng n_switch)
+      in
+      List.for_all
+        (fun links ->
+          links = [] || List.for_all (agree links) (states :: List.map (fun s -> [ s ]) states))
+        (List.init 10 random_xy))
 
 (* Sweep engine: the design-space exploration must be byte-identical
    across worker counts (warm seeds come only from earlier frequency
@@ -221,6 +267,7 @@ let () =
           Alcotest.test_case "Sp5 seed 200" `Quick (synthetic_case ~seed:200);
           Alcotest.test_case "Sp5 seed 4242" `Quick (synthetic_case ~seed:4242);
           Alcotest.test_case "Bot5 shared groups" `Quick grouped_case;
+          QCheck_alcotest.to_alcotest prop_common_starts_match_reference;
         ] );
       ( "sweep engine",
         [

@@ -5,7 +5,7 @@ module Pq = Noc_graph.Priority_queue
 module G = Noc_graph.Intgraph
 module Components = Noc_graph.Components
 module Sp = Noc_graph.Shortest_path
-module Uf = Noc_graph.Union_find
+module Uf = Noc_oracle.Union_find
 module Rng = Noc_util.Rng
 module Path_select = Noc_core.Path_select
 

@@ -1,10 +1,10 @@
-(* The incremental remapper's correctness bar (PR 6): across random
-   add/remove/modify churn sequences the Incremental engine and the
-   naive Reference oracle produce byte-identical designs (via the
-   canonical codec), with the cache on or off and with pruning on or
-   off; clean groups survive a delta byte-for-byte; and the fallback
-   chain (reused -> delta -> warm placement -> regrown) degrades
-   deterministically. *)
+(* The incremental remapper's correctness bar: across random
+   add/remove/modify churn sequences the remapper serving sub-problems
+   from the cache and the oracle computing every sub-problem directly
+   (the cache off) produce byte-identical designs (via the canonical
+   codec), with pruning on or off; clean groups survive a delta
+   byte-for-byte; and the fallback chain (reused -> delta -> warm
+   placement -> regrown) degrades deterministically. *)
 
 module Config = Noc_arch.Noc_config
 module Route = Noc_arch.Route
@@ -139,45 +139,34 @@ let prop_churn_byte_identity =
       | Error _ -> QCheck.assume_fail ()
       | Ok d0 ->
         let steps = 1 + Random.State.int rng 2 in
-        let rec go spec (inc, refd, nc, np) k =
+        let rec go spec (inc, nc, np) k =
           if k = 0 then true
           else begin
             let spec = random_step rng spec in
-            let r_inc =
-              with_cache true (fun () -> Remap.remap ~mode:Remap.Incremental ~old:inc spec)
-            in
-            let r_ref =
-              with_cache false (fun () -> Remap.remap ~mode:Remap.Reference ~old:refd spec)
-            in
-            let r_nc =
-              with_cache false (fun () -> Remap.remap ~mode:Remap.Incremental ~old:nc spec)
-            in
-            let r_np =
-              with_cache false (fun () ->
-                  Remap.remap ~mode:Remap.Incremental ~prune:false ~old:np spec)
-            in
+            let r_inc = with_cache true (fun () -> Remap.remap ~old:inc spec) in
+            let r_nc = with_cache false (fun () -> Remap.remap ~old:nc spec) in
+            let r_np = with_cache false (fun () -> Remap.remap ~prune:false ~old:np spec) in
             let b = bytes_of r_inc in
-            b = bytes_of r_ref && b = bytes_of r_nc && b = bytes_of r_np
+            b = bytes_of r_nc && b = bytes_of r_np
             &&
-            match (r_inc, r_ref, r_nc, r_np) with
-            | Ok a, Ok b', Ok c, Ok d ->
-              path_tag a = path_tag b'
-              && path_tag a = path_tag c
+            match (r_inc, r_nc, r_np) with
+            | Ok a, Ok c, Ok d ->
+              path_tag a = path_tag c
               && path_tag a = path_tag d
               && clean_retained ~old:inc a
-              && go spec (a.Remap.design, b'.Remap.design, c.Remap.design, d.Remap.design) (k - 1)
-            | Error _, Error _, Error _, Error _ -> true
+              && go spec (a.Remap.design, c.Remap.design, d.Remap.design) (k - 1)
+            | Error _, Error _, Error _ -> true
             | _ -> false
           end
         in
-        go spec0 (d0, d0, d0, d0) steps)
+        go spec0 (d0, d0, d0) steps)
 
 (* --- unit coverage of the decision chain -------------------------------- *)
 
 let spec3 ~seed = DF.spec_of_use_cases ~name:"unit" (Syn.generate ~seed ~params:small_params ~use_cases:3)
 
-let remap_exn ?config ?mode ?prune ~old spec =
-  match Remap.remap ?config ?mode ?prune ~old spec with
+let remap_exn ?config ?prune ~old spec =
+  match Remap.remap ?config ?prune ~old spec with
   | Ok o -> o
   | Error e -> Alcotest.failf "remap failed: %s" e
 
@@ -221,11 +210,10 @@ let test_config_change_falls_back () =
   let old = must_run spec in
   let config = { old.DF.mapping.Mapping.config with Config.freq_mhz = 400.0 } in
   let churned = scale_uc 0 1.25 spec in
-  let inc = with_cache false (fun () -> Remap.remap ~config ~old churned) in
-  let reference =
-    with_cache false (fun () -> Remap.remap ~config ~mode:Remap.Reference ~old churned)
-  in
-  Alcotest.(check string) "modes agree under a config change" (bytes_of inc) (bytes_of reference);
+  let inc = with_cache true (fun () -> Remap.remap ~config ~old churned) in
+  let reference = with_cache false (fun () -> Remap.remap ~config ~old churned) in
+  Alcotest.(check string) "cache on and off agree under a config change" (bytes_of inc)
+    (bytes_of reference);
   match inc with
   | Error e -> Alcotest.failf "remap failed: %s" e
   | Ok o ->
@@ -245,10 +233,8 @@ let test_infeasible_delta_agrees () =
         spec.DF.use_cases
         @ [ U.create ~id:3 ~name:"monster" ~cores:8 [ Flow.v ~src:0 ~dst:1 1.0e9 ] ] }
   in
-  let inc = with_cache false (fun () -> Remap.remap ~config ~old monster) in
-  let reference =
-    with_cache false (fun () -> Remap.remap ~config ~mode:Remap.Reference ~old monster)
-  in
+  let inc = with_cache true (fun () -> Remap.remap ~config ~old monster) in
+  let reference = with_cache false (fun () -> Remap.remap ~config ~old monster) in
   Alcotest.(check bool) "incremental rejects" true (Result.is_error inc);
   Alcotest.(check bool) "reference rejects" true (Result.is_error reference)
 

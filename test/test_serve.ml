@@ -678,6 +678,69 @@ let test_bad_requests () =
   Server.stop ();
   join_server handle
 
+(* The daemon splits request lines as the bytes arrive: one ~200 KB
+   map request written 1-7 bytes at a time, then two requests in one
+   write.  Every reply carries [Service.execute]'s exact payload, in
+   request order. *)
+let test_split_lines () =
+  let cfg = Server.default_config ~socket_path:(socket_path "split") in
+  let handle = start_server cfg in
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX cfg.Server.socket_path);
+  let ic = Unix.in_channel_of_descr fd in
+  let write_all s =
+    let rec go pos =
+      if pos < String.length s then
+        go (pos + Unix.write_substring fd s pos (String.length s - pos))
+    in
+    go 0
+  in
+  (match P.check_greeting (input_line ic) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "greeting: %s" msg);
+  write_all (P.hello ());
+  (match P.hello_verdict (input_line ic) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "handshake: %s" msg);
+  let text = Lazy.force d1_text in
+  let expected op =
+    match Service.execute (prepare_exn op) with
+    | Ok payload -> payload
+    | Error msg -> Alcotest.failf "one-shot execute failed: %s" msg
+  in
+  let reply id op =
+    match P.decode_response (input_line ic) with
+    | Ok (P.Result { id = got; payload; _ }) ->
+      Alcotest.(check int) "replies in request order" id got;
+      Alcotest.(check string) "reply == Service.execute payload" (expected op) payload
+    | Ok (P.Failure { message; _ }) -> Alcotest.failf "request %d failed: %s" id message
+    | Error msg -> Alcotest.failf "undecodable reply: %s" msg
+  in
+  let padding =
+    String.concat "" (List.init 7000 (fun i -> Printf.sprintf "# padding comment line %06d\n" i))
+  in
+  let big = map_op "d1" (text ^ padding) in
+  let line = P.encode_request { P.id = 0; op = big } in
+  Alcotest.(check bool) "request is ~200 KB" true (String.length line >= 200_000);
+  let rng = Random.State.make [| 23 |] in
+  let rec dribble pos =
+    if pos < String.length line then begin
+      let k = min (1 + Random.State.int rng 7) (String.length line - pos) in
+      write_all (String.sub line pos k);
+      dribble (pos + k)
+    end
+  in
+  dribble 0;
+  reply 0 big;
+  let map_d1 = map_op "d1" text
+  and lint_d1 = P.Lint { name = "d1"; spec = text; config = P.default_config; deep = false } in
+  write_all (P.encode_request { P.id = 1; op = map_d1 } ^ P.encode_request { P.id = 2; op = lint_d1 });
+  reply 1 map_d1;
+  reply 2 lint_d1;
+  Unix.close fd;
+  Server.stop ();
+  join_server handle
+
 (* A served spec that resolves but cannot expand once killed the
    daemon; it must answer spec-error and keep serving. *)
 let test_unexpandable_spec_survives () =
@@ -747,6 +810,7 @@ let () =
           Alcotest.test_case "graceful shutdown drains and flushes" `Quick
             test_graceful_shutdown;
           Alcotest.test_case "bad requests fail structurally" `Quick test_bad_requests;
+          Alcotest.test_case "lines split as bytes arrive" `Quick test_split_lines;
           Alcotest.test_case "unexpandable spec survived" `Quick
             test_unexpandable_spec_survives;
         ] );
