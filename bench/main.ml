@@ -494,7 +494,7 @@ let serve_rows () =
     let client_bench ~connections ~repeat =
       let cmd =
         Printf.sprintf
-          "%s client bench d2 --socket %s --op explore --connections %d --repeat %d 2>/dev/null"
+          "%s client bench explore d2 --socket %s --connections %d --repeat %d 2>/dev/null"
           (Filename.quote exe) (Filename.quote sock) connections repeat
       in
       let ic = Unix.open_process_in cmd in

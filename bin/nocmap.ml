@@ -1,10 +1,12 @@
 (* nocmap: command-line driver for the multi-use-case NoC design flow.
 
-   The spec-consuming commands (map, explore, lint, certify, remap, and
-   simulate/report on top of map) build the same [Protocol.op] that
-   [nocmap client] sends to a [nocmap serve] daemon and run it in
-   process through [Noc_serve.Service], the daemon's own path; their
-   [--json] bytes are the [Payload] the daemon would return. *)
+   The spec-consuming operations (map, explore, lint, certify, remap)
+   are described once, in the request table [operations]: each entry's
+   term builds the [Protocol.op] a [nocmap serve] daemon executes.  The
+   one-shot command runs that op in process through
+   [Noc_serve.Service], the daemon's own path, so its [--json] bytes
+   are the [Payload] the daemon would return; [nocmap client <op>] and
+   [nocmap client bench <op>] send the very same op. *)
 
 module Mesh = Noc_arch.Mesh
 module Use_case = Noc_traffic.Use_case
@@ -34,6 +36,17 @@ let write_file file text = Out_channel.with_open_text file (fun oc -> output_str
 let write_payload file outcome =
   Out_channel.with_open_text file (fun oc -> Payload.output oc outcome)
 
+(* A count below one is refused while the arguments are parsed (exit
+   124), before anything is built from it. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* --- benchmark selection ------------------------------------------------- *)
 
 let load_benchmark ~name ~use_cases ~seed =
@@ -55,15 +68,13 @@ let load_benchmark ~name ~use_cases ~seed =
 
 (* --- input: which spec ------------------------------------------------------ *)
 
-let bench_arg_at n =
+let bench_arg =
   let doc = "Benchmark: d1, d2, d3, d4, example1, viper, mobile, sp (spread), bot (bottleneck)." in
-  Arg.(value & pos n string "example1" & info [] ~docv:"BENCHMARK" ~doc)
-
-let bench_arg = bench_arg_at 0
+  Arg.(value & pos 0 string "example1" & info [] ~docv:"BENCHMARK" ~doc)
 
 let use_cases_arg =
   let doc = "Number of use-cases for synthetic benchmarks (sp/bot)." in
-  Arg.(value & opt int 5 & info [ "use-cases"; "u" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 5 & info [ "use-cases"; "u" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "PRNG seed for synthetic benchmarks." in
@@ -84,7 +95,7 @@ let read_spec file =
 
 (* A benchmark becomes its canonical [Spec_parser.to_text] rendering,
    so a one-shot command and the daemon parse the very same text. *)
-let input_term ?(pos = 0) () =
+let input_term =
   let resolve bench use_cases seed = function
     | Some file ->
       let* name, text = read_spec file in
@@ -94,9 +105,20 @@ let input_term ?(pos = 0) () =
       let spec = DF.spec_of_use_cases ~name:bench ucs in
       Ok { name = spec.DF.name; text = Noc_core.Spec_parser.to_text spec; file = None }
   in
-  Term.(const resolve $ bench_arg_at pos $ use_cases_arg $ seed_arg $ spec_arg)
+  Term.(const resolve $ bench_arg $ use_cases_arg $ seed_arg $ spec_arg)
 
 (* --- config: the request's design knobs -------------------------------------- *)
+
+let nis_arg =
+  let doc = "Maximum NIs (cores) per switch." in
+  Arg.(
+    value
+    & opt int Protocol.default_config.nis_per_switch
+    & info [ "nis-per-switch" ] ~docv:"N" ~doc)
+
+let xy_arg =
+  let doc = "Use dimension-ordered (XY) routing instead of min-cost path search." in
+  Arg.(value & flag & info [ "xy" ] ~doc)
 
 let config_term =
   let d = Protocol.default_config in
@@ -108,16 +130,8 @@ let config_term =
     let doc = "TDMA slot-table size." in
     Arg.(value & opt int d.Protocol.slots & info [ "slots" ] ~docv:"SLOTS" ~doc)
   in
-  let nis =
-    let doc = "Maximum NIs (cores) per switch." in
-    Arg.(value & opt int d.Protocol.nis_per_switch & info [ "nis-per-switch" ] ~docv:"N" ~doc)
-  in
-  let xy =
-    let doc = "Use dimension-ordered (XY) routing instead of min-cost path search." in
-    Arg.(value & flag & info [ "xy" ] ~doc)
-  in
   let make freq_mhz slots nis_per_switch xy = { Protocol.freq_mhz; slots; nis_per_switch; xy } in
-  Term.(const make $ freq $ slots $ nis $ xy)
+  Term.(const make $ freq $ slots $ nis_arg $ xy_arg)
 
 (* --- process: pool, cache and observability ----------------------------------- *)
 
@@ -128,7 +142,7 @@ let jobs_arg =
      domain.  Results do not depend on it.  Defaults to the machine's recommended domain \
      count."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let cache_dir_arg =
   let doc =
@@ -172,11 +186,7 @@ let metrics_arg =
    saw. *)
 let process_term ?(jobs = true) ?(cache = true) () =
   let apply jobs no_cache cache_dir trace metrics =
-    Option.iter
-      (fun j ->
-        if j < 1 then invalid_arg "--jobs must be >= 1";
-        Noc_util.Domain_pool.set_default_jobs j)
-      jobs;
+    Option.iter Noc_util.Domain_pool.set_default_jobs jobs;
     if no_cache then Noc_core.Mapping_cache.set_enabled false
     else Option.iter (fun d -> Noc_core.Mapping_cache.set_dir (Some d)) cache_dir;
     if trace <> None then Tracer.set_enabled true;
@@ -203,26 +213,71 @@ let process_term ?(jobs = true) ?(cache = true) () =
     $ (if cache then cache_dir_arg else off)
     $ trace_arg $ metrics_arg)
 
-(* --- running an op ---------------------------------------------------------- *)
+(* --- requests ------------------------------------------------------------------ *)
 
-(* The op of a single-spec request, built the same way for a one-shot
-   command and for [client]. *)
-let spec_op ?(deep = false) ?(torus = false) kind config { name; text = spec; _ } =
-  match kind with
-  | `Map -> Protocol.Map { name; spec; config }
-  | `Explore ->
+(* An operation's request: the op, and the spec file a spec error
+   names ([None] for a benchmark, and for remap, whose errors name
+   the revision). *)
+type request = { op : Protocol.op; file : string option }
+
+(* The request of an operation on one spec; [make] is the term of the
+   op's own flags, applied to the spec's name and text. *)
+let spec_request make =
+  let build input make =
+    let* { name; text; file } = input in
+    Ok { op = make name text; file }
+  in
+  Term.(const build $ input_term $ make)
+
+let map_request =
+  spec_request
+    Term.(const (fun config name spec -> Protocol.Map { name; spec; config }) $ config_term)
+
+(* The sweep chooses frequency and slot count itself; of the config
+   knobs it reads only these two. *)
+let explore_request =
+  let torus =
+    let doc = "Also explore torus grids." in
+    Arg.(value & flag & info [ "torus" ] ~doc)
+  in
+  let make nis_per_switch xy torus name spec =
+    let config = { Protocol.default_config with nis_per_switch; xy } in
     Protocol.Explore { name; spec; config; frequencies = None; slot_counts = None; torus }
-  | `Lint -> Protocol.Lint { name; spec; config; deep }
-  | `Certify -> Protocol.Certify { name; spec; config }
+  in
+  spec_request Term.(const make $ nis_arg $ xy_arg $ torus)
 
-let remap_op config from_file to_file =
-  let* from_name, from_spec = read_spec from_file in
-  let* to_name, to_spec = read_spec to_file in
-  Ok (Protocol.Remap { from_name; from_spec; to_name; to_spec; config })
+let lint_request =
+  let deep =
+    let doc = "Also run the full design flow and the post-mapping design passes." in
+    Arg.(value & flag & info [ "deep" ] ~doc)
+  in
+  spec_request
+    Term.(const (fun config deep name spec -> Protocol.Lint { name; spec; config; deep })
+          $ config_term $ deep)
 
-(* Prepare an op for an in-process [Service.run]; a spec error names
-   the file it came from. *)
-let prepare ?file op =
+let certify_request =
+  spec_request
+    Term.(const (fun config name spec -> Protocol.Certify { name; spec; config }) $ config_term)
+
+let remap_request =
+  let from_file =
+    let doc = "The previous revision's spec file (the completed design to churn from)." in
+    Arg.(required & opt (some string) None & info [ "from" ] ~docv:"OLD.spec" ~doc)
+  in
+  let to_file =
+    let doc = "The new revision's spec file." in
+    Arg.(required & opt (some string) None & info [ "to" ] ~docv:"NEW.spec" ~doc)
+  in
+  let build from_file to_file config =
+    let* from_name, from_spec = read_spec from_file in
+    let* to_name, to_spec = read_spec to_file in
+    Ok { op = Protocol.Remap { from_name; from_spec; to_name; to_spec; config }; file = None }
+  in
+  Term.(const build $ from_file $ to_file $ config_term)
+
+(* Prepare a request for an in-process [Service.run]; a spec error
+   names the file it came from. *)
+let prepare { op; file } =
   Result.map_error
     (fun (code, msg) ->
       match (code, file) with Protocol.Spec_error, Some f -> f ^ ": " ^ msg | _ -> msg)
@@ -253,6 +308,17 @@ let vhdl_arg =
   let doc = "Write the generated structural VHDL to $(docv)." in
   Arg.(value & opt (some string) None & info [ "vhdl" ] ~docv:"FILE" ~doc)
 
+let dot_arg =
+  let doc = "Write the topology/placement as Graphviz DOT to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
+
+let dot_uc_arg =
+  let doc =
+    "Write use-case $(docv)'s configuration heat map as Graphviz DOT to \
+     $(i,NAME)_uc$(docv).dot, $(i,NAME) being the design's name."
+  in
+  Arg.(value & opt (some int) None & info [ "dot-use-case" ] ~docv:"UC" ~doc)
+
 let dump_arg =
   let doc =
     "Write the designed mapping as a canonical Mapping_codec dump to $(docv) — the format \
@@ -267,6 +333,20 @@ let certify_flag_arg =
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
+(* The [--json FILE] of map, explore and remap: the exact bytes a
+   daemon returns for the same request. *)
+let json_file_arg =
+  let doc =
+    "Write the payload as JSON to $(docv) — the exact bytes a $(b,nocmap serve) daemon \
+     returns for the same request, so the two can be compared with $(b,cmp)."
+  in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+(* The [--json] flag of lint and certify, which print to stdout. *)
+let json_flag_arg what =
+  let doc = "Emit the " ^ what ^ " as JSON on stdout." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
 (* --- map -------------------------------------------------------------------- *)
 
 let print_design name mapping verified =
@@ -277,6 +357,10 @@ let print_design name mapping verified =
   Format.printf "area: %a, power: %.1f mW@." Noc_util.Units.pp_area
     (Noc_power.Area_model.noc_area mapping)
     (Noc_power.Power_model.noc_power mapping).Noc_power.Power_model.total_mw
+
+let emit_text what file text =
+  write_file file text;
+  Format.printf "%s written to %s (%d bytes)@." what file (String.length text)
 
 let emit_rtl what ~generate ~check path name mapping =
   match path with
@@ -297,17 +381,20 @@ let emit_dump path mapping =
   | Some file -> (
     match Noc_core.Mapping_codec.encode mapping with
     | Some text ->
-      write_file file text;
-      Format.printf "mapping dump written to %s (%d bytes)@." file (String.length text);
+      emit_text "mapping dump" file text;
       Ok ()
     | None -> Error "this mapping cannot be encoded (mesh carries express channels)")
 
-let map_json_arg =
-  let doc =
-    "Write the designed NoC as JSON to $(docv) — the exact bytes a $(b,nocmap serve) daemon \
-     returns for the same map request, so the two can be compared with $(b,cmp)."
-  in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+let emit_dot dot dot_uc name mapping =
+  Option.iter (fun file -> emit_text "DOT topology" file (Noc_export.Dot.topology mapping)) dot;
+  match dot_uc with
+  | None -> Ok ()
+  | Some uc when uc < 0 || uc >= Array.length mapping.Mapping.states ->
+    Error (Printf.sprintf "--dot-use-case %d: the design has no such use-case" uc)
+  | Some uc ->
+    let file = Printf.sprintf "%s_uc%d.dot" name uc in
+    emit_text "DOT use-case view" file (Noc_export.Dot.use_case mapping ~use_case:uc);
+    Ok ()
 
 let certify_design (d : DF.t) =
   let module C = Noc_analysis.Certify in
@@ -316,11 +403,8 @@ let certify_design (d : DF.t) =
   if C.clean cert then Ok ()
   else Error (Printf.sprintf "certificate rejected (%d findings)" (List.length cert.C.findings))
 
-let run_map () input config refine wc no_prune vhdl systemc dump certify json =
-  ret_of
-  @@
-  let* input = input in
-  let* job = prepare ?file:input.file (spec_op `Map config input) in
+let run_map () refine wc no_prune vhdl systemc dump dot dot_uc certify json request =
+  let* job = prepare request in
   let emits name m =
     let* () =
       emit_rtl "VHDL" ~generate:Noc_rtl.Netlist.generate ~check:Noc_rtl.Wellformed.check vhdl
@@ -330,10 +414,11 @@ let run_map () input config refine wc no_prune vhdl systemc dump certify json =
       emit_rtl "SystemC" ~generate:Noc_rtl.Systemc.generate ~check:Noc_rtl.Systemc.check systemc
         name m
     in
-    emit_dump dump m
+    let* () = emit_dump dump m in
+    emit_dot dot dot_uc name m
   in
-  match Service.spec job with
-  | Some spec when wc -> (
+  match (Service.spec job, request.op) with
+  | Some spec, Protocol.Map { config; _ } when wc -> (
     if certify then Error "--certify applies to the multi-use-case flow, not --wc"
     else if json <> None then Error "--json applies to the multi-use-case flow, not --wc"
     else
@@ -356,16 +441,6 @@ let run_map () input config refine wc no_prune vhdl systemc dump certify json =
         json;
       emits name d.DF.mapping
     | Ok _ -> assert false)
-
-let map_cmd =
-  let doc = "Design the smallest NoC satisfying every use-case of a benchmark." in
-  Cmd.v
-    (Cmd.info "map" ~doc)
-    Term.(
-      ret
-        (const run_map $ process_term () $ input_term () $ config_term $ refine_arg
-       $ wc_arg $ no_prune_arg $ vhdl_arg $ systemc_arg $ dump_arg
-       $ certify_flag_arg $ map_json_arg))
 
 (* --- experiments -------------------------------------------------------------- *)
 
@@ -414,24 +489,12 @@ let generate_cmd =
 (* --- simulate ------------------------------------------------------------------- *)
 
 (* The designed NoC simulate and report start from: a local map op. *)
-let design_of input config =
-  let* input = input in
-  let* job = prepare ?file:input.file (spec_op `Map config input) in
+let design_of request =
+  let* job = Result.bind request prepare in
   match Service.run job with
   | Ok (Payload.Design d) -> Ok d
   | Ok _ -> assert false
   | Error msg -> Error msg
-
-(* A non-positive length is refused while the arguments are parsed
-   (exit 124), before the design is mapped. *)
-let positive_int =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let duration_arg =
   let doc = "Simulation length in TDMA slots (a positive integer)." in
@@ -479,12 +542,11 @@ let write_sim_json path results =
   Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map one results));
   close_out oc
 
-let run_simulate () input config duration reference_sim sim_json =
+let run_simulate () duration reference_sim sim_json request =
   ret_of
   @@
-  let* d = design_of input config in
+  let* d = design_of request in
   let m = d.DF.mapping in
-  let config = Protocol.to_noc_config config in
   let core = if reference_sim then `Reference else `Event in
   Format.printf "%a@.@." DF.pp_summary d;
   let results =
@@ -496,7 +558,8 @@ let run_simulate () input config duration reference_sim sim_json =
             ~args:[ ("use_case", Tracer.Str u.Use_case.name) ]
             "simulate:use_case"
             (fun () ->
-              Sim.simulate_with ~core ~sources:[] ~config ~routes ~duration_slots:duration)
+              Sim.simulate_with ~core ~sources:[] ~config:m.Mapping.config ~routes
+                ~duration_slots:duration)
         in
         Format.printf "%s: %s (%d connections, %d collisions)@." u.Use_case.name
           (if Sim.within_contract res then "contracts met" else "CONTRACT VIOLATION")
@@ -513,72 +576,10 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       ret
-        (const run_simulate $ process_term () $ input_term () $ config_term
-       $ duration_arg $ reference_sim_arg $ sim_json_arg))
-
-(* --- export ------------------------------------------------------------------------ *)
-
-let json_arg =
-  let doc = "Write the design as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let dot_arg =
-  let doc = "Write the topology/placement as Graphviz DOT to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
-
-let dot_uc_arg =
-  let doc = "Write use-case $(docv)'s configuration heat map as DOT to FILE.dot." in
-  Arg.(value & opt (some int) None & info [ "dot-use-case" ] ~docv:"UC" ~doc)
-
-let run_export () bench use_cases seed config json dot dot_uc =
-  ret_of
-  @@
-  let* ucs = load_benchmark ~name:bench ~use_cases ~seed in
-  let* d =
-    DF.run ~config:(Protocol.to_noc_config config) (DF.spec_of_use_cases ~name:bench ucs)
-  in
-  let wrote file bytes = Format.printf "wrote %s (%d bytes)@." file bytes in
-  let write file text =
-    write_file file text;
-    wrote file (String.length text)
-  in
-  let output_design oc =
-    Noc_export.Json.to_channel ~indent:2 oc (Noc_export.Design_export.design d)
-  in
-  Option.iter
-    (fun file ->
-      wrote file
-        (Out_channel.with_open_text file (fun oc ->
-             output_design oc;
-             pos_out oc)))
-    json;
-  Option.iter (fun file -> write file (Noc_export.Dot.topology d.DF.mapping)) dot;
-  Option.iter
-    (fun uc ->
-      write
-        (Printf.sprintf "%s_uc%d.dot" bench uc)
-        (Noc_export.Dot.use_case d.DF.mapping ~use_case:uc))
-    dot_uc;
-  if json = None && dot = None && dot_uc = None then begin
-    output_design stdout;
-    print_newline ()
-  end;
-  Ok ()
-
-let export_cmd =
-  let doc = "Design a NoC and export it as JSON and/or Graphviz DOT." in
-  Cmd.v
-    (Cmd.info "export" ~doc)
-    Term.(
-      ret
-        (const run_export $ process_term ~jobs:false () $ bench_arg $ use_cases_arg $ seed_arg
-       $ config_term $ json_arg $ dot_arg $ dot_uc_arg))
+        (const run_simulate $ process_term () $ duration_arg $ reference_sim_arg $ sim_json_arg
+       $ map_request))
 
 (* --- explore ------------------------------------------------------------------------ *)
-
-let torus_axis_arg =
-  let doc = "Also explore torus grids." in
-  Arg.(value & flag & info [ "torus" ] ~doc)
 
 let cold_arg =
   let doc =
@@ -587,19 +588,8 @@ let cold_arg =
   in
   Arg.(value & flag & info [ "cold" ] ~doc)
 
-let explore_json_arg =
-  let doc =
-    "Write the sweep's points as JSON to $(docv) instead of printing the table.  The output is \
-     deterministic, so two runs over the same benchmark can be compared byte for byte (the CI \
-     cache-correctness check diffs a cold and a cache-warmed run this way)."
-  in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let run_explore () input torus cold no_prune json =
-  ret_of
-  @@
-  let* input = input in
-  let* job = prepare ?file:input.file (spec_op ~torus `Explore Protocol.default_config input) in
+let run_explore () cold no_prune json request =
+  let* job = prepare request in
   match Service.run ~warm:(not cold) ~prune:(not no_prune) job with
   | Error msg -> Error msg
   | Ok (Payload.Points points as outcome) ->
@@ -611,21 +601,12 @@ let run_explore () input torus cold no_prune json =
     Ok ()
   | Ok _ -> assert false
 
-let explore_cmd =
-  let doc = "Explore the (frequency x slot-table x topology) design space and mark the Pareto front." in
-  Cmd.v
-    (Cmd.info "explore" ~doc)
-    Term.(
-      ret
-        (const run_explore $ process_term () $ input_term () $ torus_axis_arg $ cold_arg
-       $ no_prune_arg $ explore_json_arg))
-
 (* --- report ------------------------------------------------------------------------ *)
 
-let run_report () input config =
+let run_report () request =
   ret_of
   @@
-  let* d = design_of input config in
+  let* d = design_of request in
   Noc_report.Design_report.print (Noc_report.Design_report.build d);
   Ok ()
 
@@ -633,23 +614,12 @@ let report_cmd =
   let doc = "Design a NoC and print the full analytic report (guarantees, slacks, utilization, buffers, switching costs)." in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(ret (const run_report $ process_term ~jobs:false () $ input_term () $ config_term))
+    Term.(ret (const run_report $ process_term ~jobs:false () $ map_request))
 
 (* --- lint ------------------------------------------------------------------------ *)
 
-let lint_json_arg =
-  let doc = "Emit the diagnostics and the feasibility certificate as JSON." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let deep_arg =
-  let doc = "Also run the full design flow and the post-mapping design passes." in
-  Arg.(value & flag & info [ "deep" ] ~doc)
-
-let run_lint () input config json deep =
-  ret_of
-  @@
-  let* input = input in
-  let* job = prepare ?file:input.file (spec_op ~deep `Lint config input) in
+let run_lint () json request =
+  let* job = prepare request in
   match Service.run job with
   | Error msg -> Error msg
   | Ok (Payload.Lint report as outcome) -> (
@@ -658,24 +628,7 @@ let run_lint () input config json deep =
     match Noc_analysis.Analyzer.exit_code report with 0 -> Ok () | n -> exit n)
   | Ok _ -> assert false
 
-let lint_cmd =
-  let doc =
-    "Statically analyze a spec or benchmark: well-formedness passes, feasibility certificates, \
-     and (with $(b,--deep)) the post-mapping design passes.  Exits 2 on errors, 1 on warnings, \
-     0 when clean."
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc)
-    Term.(
-      ret
-        (const run_lint $ process_term ~cache:false () $ input_term () $ config_term
-       $ lint_json_arg $ deep_arg))
-
 (* --- certify --------------------------------------------------------------------- *)
-
-let certify_json_arg =
-  let doc = "Emit the full signed certificate record as JSON." in
-  Arg.(value & flag & info [ "json" ] ~doc)
 
 let certify_from_arg =
   let doc =
@@ -685,12 +638,9 @@ let certify_from_arg =
   in
   Arg.(value & opt (some string) None & info [ "from" ] ~docv:"DUMP" ~doc)
 
-let run_certify () input config json from =
+let run_certify () json from request =
   let module C = Noc_analysis.Certify in
-  ret_of
-  @@
-  let* input = input in
-  let* job = prepare ?file:input.file (spec_op `Certify config input) in
+  let* job = prepare request in
   let finish cert =
     if json then Payload.output stdout (Payload.Certificate cert)
     else print_string (C.render_text cert);
@@ -709,20 +659,6 @@ let run_certify () input config json from =
     | Error msg -> Error msg
     | Ok (Payload.Certificate cert) -> finish cert
     | Ok _ -> assert false)
-
-let certify_cmd =
-  let doc =
-    "Independently certify a mapped design: re-derive slot exclusivity, reserved bandwidth, \
-     route well-formedness, NI bounds and static worst-case latency bounds on a code path \
-     separate from the mapping engine, and emit a signed certificate.  Exits 2 on any finding, \
-     0 when clean."
-  in
-  Cmd.v
-    (Cmd.info "certify" ~doc)
-    Term.(
-      ret
-        (const run_certify $ process_term () $ input_term () $ config_term $ certify_json_arg
-       $ certify_from_arg))
 
 (* --- cache ------------------------------------------------------------------------ *)
 
@@ -790,24 +726,9 @@ let cache_cmd =
 
 (* --- remap ----------------------------------------------------------------------- *)
 
-let remap_from_arg =
-  let doc = "The previous revision's spec file (the completed design to churn from)." in
-  Arg.(required & opt (some string) None & info [ "from" ] ~docv:"OLD.spec" ~doc)
-
-let remap_to_arg =
-  let doc = "The new revision's spec file." in
-  Arg.(required & opt (some string) None & info [ "to" ] ~docv:"NEW.spec" ~doc)
-
-let remap_json_arg =
-  let doc = "Write the remapped design as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let run_remap () from_file to_file config no_prune json dump certify =
+let run_remap () no_prune json dump certify request =
   let open Noc_core.Remap in
-  ret_of
-  @@
-  let* op = remap_op config from_file to_file in
-  let* job = prepare op in
+  let* job = prepare request in
   match Service.run ~prune:(not no_prune) job with
   | Error msg -> Error msg
   | Ok (Payload.Remapped { old; remap = o } as outcome) ->
@@ -836,18 +757,82 @@ let run_remap () from_file to_file config no_prune json dump certify =
     if certify then certify_design design else Ok ()
   | Ok _ -> assert false
 
-let remap_cmd =
-  let doc =
-    "Incrementally re-map a churned spec: re-route only the switching-graph components the \
-     delta touches, keeping every unaffected group's configuration byte-identical to the \
-     $(b,--from) design."
-  in
-  Cmd.v
-    (Cmd.info "remap" ~doc)
-    Term.(
-      ret
-        (const run_remap $ process_term () $ remap_from_arg $ remap_to_arg $ config_term
-       $ no_prune_arg $ remap_json_arg $ dump_arg $ certify_flag_arg))
+(* --- the request table -------------------------------------------------------- *)
+
+(* One entry per spec-consuming operation: [request] builds its op
+   from the input, the config knobs and the op's own flags;
+   [oneshot] is the one-shot command's body over the flags only the
+   CLI offers (process settings, engine escape hatches, output
+   files), running the request in process.  The one-shot command,
+   [client <op>] and [client bench <op>] are all derived from it. *)
+type operation = {
+  name : string;
+  doc : string;
+  request : (request, string) result Term.t;
+  oneshot : (request -> (unit, string) result) Term.t;
+}
+
+let operations =
+  [
+    {
+      name = "map";
+      doc = "Design the smallest NoC satisfying every use-case of a benchmark.";
+      request = map_request;
+      oneshot =
+        Term.(
+          const run_map $ process_term () $ refine_arg $ wc_arg $ no_prune_arg $ vhdl_arg
+          $ systemc_arg $ dump_arg $ dot_arg $ dot_uc_arg $ certify_flag_arg $ json_file_arg);
+    };
+    {
+      name = "explore";
+      doc =
+        "Explore the (frequency x slot-table x topology) design space and mark the Pareto front.";
+      request = explore_request;
+      oneshot =
+        Term.(const run_explore $ process_term () $ cold_arg $ no_prune_arg $ json_file_arg);
+    };
+    {
+      name = "lint";
+      doc =
+        "Statically analyze a spec or benchmark: well-formedness passes, feasibility \
+         certificates, and (with $(b,--deep)) the post-mapping design passes.  Exits 2 on \
+         errors, 1 on warnings, 0 when clean.";
+      request = lint_request;
+      oneshot =
+        Term.(
+          const run_lint $ process_term ~cache:false ()
+          $ json_flag_arg "diagnostics and the feasibility certificate");
+    };
+    {
+      name = "certify";
+      doc =
+        "Independently certify a mapped design: re-derive slot exclusivity, reserved \
+         bandwidth, route well-formedness, NI bounds and static worst-case latency bounds on a \
+         code path separate from the mapping engine, and emit a signed certificate.  Exits 2 \
+         on any finding, 0 when clean.";
+      request = certify_request;
+      oneshot =
+        Term.(
+          const run_certify $ process_term () $ json_flag_arg "full signed certificate record"
+          $ certify_from_arg);
+    };
+    {
+      name = "remap";
+      doc =
+        "Incrementally re-map a churned spec: re-route only the switching-graph components the \
+         delta touches, keeping every unaffected group's configuration byte-identical to the \
+         $(b,--from) design.";
+      request = remap_request;
+      oneshot =
+        Term.(
+          const run_remap $ process_term () $ no_prune_arg $ json_file_arg $ dump_arg
+          $ certify_flag_arg);
+    };
+  ]
+
+let oneshot_cmd { name; doc; request; oneshot } =
+  let run body request = ret_of (Result.bind request body) in
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const run $ oneshot $ request))
 
 (* --- serve / client -------------------------------------------------------------- *)
 
@@ -858,16 +843,21 @@ let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
   Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
 
+let serve_defaults = Server.default_config ~socket_path:""
+
 let max_queue_arg =
   let doc =
     "Pending-request cap across all clients; requests beyond it are shed with an \
      $(i,overloaded) failure carrying $(b,retry_after_ms)."
   in
-  Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int serve_defaults.max_queue & info [ "max-queue" ] ~docv:"N" ~doc)
 
 let max_inflight_arg =
   let doc = "Per-client cap on queued requests; beyond it requests fail with $(i,too-many-inflight)." in
-  Arg.(value & opt int 8 & info [ "max-inflight" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt positive_int serve_defaults.max_inflight
+    & info [ "max-inflight" ] ~docv:"N" ~doc)
 
 let linger_ms_arg =
   let doc =
@@ -875,11 +865,11 @@ let linger_ms_arg =
      coalesce into one batch.  0 executes as soon as the sockets are drained (requests \
      arriving while a batch computes still form the next batch naturally)."
   in
-  Arg.(value & opt float 0.0 & info [ "linger-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt float serve_defaults.linger_ms & info [ "linger-ms" ] ~docv:"MS" ~doc)
 
 let retry_after_ms_arg =
   let doc = "Backoff hint attached to load-shed failures." in
-  Arg.(value & opt int 50 & info [ "retry-after-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt int serve_defaults.retry_after_ms & info [ "retry-after-ms" ] ~docv:"MS" ~doc)
 
 let run_serve () socket max_queue max_inflight linger_ms retry_after_ms =
   let cfg =
@@ -914,102 +904,76 @@ let serve_cmd =
         (const run_serve $ process_term () $ socket_arg $ max_queue_arg $ max_inflight_arg
        $ linger_ms_arg $ retry_after_ms_arg))
 
-let client_action_arg =
-  let doc =
-    "What to ask the daemon: $(b,ping), $(b,map), $(b,explore), $(b,lint), $(b,certify), \
-     $(b,remap), $(b,stats), $(b,shutdown), or $(b,bench) (the multi-connection load driver)."
-  in
-  Arg.(
-    value
-    & pos 0
-        (enum
-           [
-             ("ping", `Ping); ("map", `Map); ("explore", `Explore); ("lint", `Lint);
-             ("certify", `Certify); ("remap", `Remap); ("stats", `Stats);
-             ("shutdown", `Shutdown); ("bench", `Bench);
-           ])
-        `Ping
-    & info [] ~docv:"ACTION" ~doc)
-
-let client_out_arg =
-  let doc = "Write the response payload to $(docv) instead of stdout (exact bytes, cmp-able)." in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-
-let client_from_arg =
-  let doc = "Old-revision spec file (remap only)." in
-  Arg.(value & opt (some string) None & info [ "from" ] ~docv:"OLD.spec" ~doc)
-
-let client_to_arg =
-  let doc = "New-revision spec file (remap only)." in
-  Arg.(value & opt (some string) None & info [ "to" ] ~docv:"NEW.spec" ~doc)
-
-let connections_arg =
-  let doc = "Concurrent connections for $(b,bench)." in
-  Arg.(value & opt int 8 & info [ "connections" ] ~docv:"N" ~doc)
-
-let repeat_arg =
-  let doc = "Rounds per connection for $(b,bench)." in
-  Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"N" ~doc)
-
-let bench_op_arg =
-  let doc = "Operation the $(b,bench) load driver issues." in
-  Arg.(
-    value
-    & opt (enum [ ("map", `Map); ("explore", `Explore); ("lint", `Lint); ("certify", `Certify) ])
-        `Map
-    & info [ "op" ] ~docv:"OP" ~doc)
-
-let run_client action socket input config deep torus from_file to_file out connections repeat
-    bench_op =
+(* One request; the payload goes to stdout or [--out FILE]. *)
+let run_client socket out request =
   ret_of
   @@
-  let of_input kind = Result.map (spec_op ~deep ~torus kind config) input in
-  let* op =
-    match action with
-    | `Ping -> Ok Protocol.Ping
-    | `Stats -> Ok Protocol.Stats
-    | `Shutdown -> Ok Protocol.Shutdown
-    | (`Map | `Explore | `Lint | `Certify) as kind -> of_input kind
-    | `Bench -> of_input bench_op
-    | `Remap -> (
-      match (from_file, to_file) with
-      | Some f, Some t -> remap_op config f t
-      | _ -> Error "client remap requires --from and --to")
-  in
-  match action with
-  | `Bench ->
-    let* stats = Client.drive ~socket ~connections ~repeat [ op ] in
-    print_endline (Client.stats_to_json stats);
+  let* { op; _ } = request in
+  let* conn = Client.connect ~socket () in
+  let response = Client.request conn op in
+  Client.close conn;
+  match response with
+  | Error msg -> Error msg
+  | Ok (Protocol.Failure { code; message; _ }) ->
+    Error (Printf.sprintf "%s: %s" (Protocol.error_code_to_string code) message)
+  | Ok (Protocol.Result { payload; _ }) ->
+    (match out with
+    | Some file ->
+      write_file file payload;
+      Format.printf "wrote %s (%d bytes)@." file (String.length payload)
+    | None -> print_string payload);
     Ok ()
-  | _ -> (
-    let* conn = Client.connect ~socket () in
-    let response = Client.request conn op in
-    Client.close conn;
-    match response with
-    | Error msg -> Error msg
-    | Ok (Protocol.Failure { code; message; _ }) ->
-      Error (Printf.sprintf "%s: %s" (Protocol.error_code_to_string code) message)
-    | Ok (Protocol.Result { payload; _ }) ->
-      (match out with
-      | Some file ->
-        write_file file payload;
-        Format.printf "wrote %s (%d bytes)@." file (String.length payload)
-      | None -> print_string payload);
-      Ok ())
+
+let run_bench socket connections repeat request =
+  ret_of
+  @@
+  let* { op; _ } = request in
+  let* stats = Client.drive ~socket ~connections ~repeat [ op ] in
+  print_endline (Client.stats_to_json stats);
+  Ok ()
 
 let client_cmd =
+  let out =
+    let doc = "Write the response payload to $(docv) instead of stdout (exact bytes, cmp-able)." in
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+  in
+  let connections =
+    let doc = "Concurrent connections." in
+    Arg.(value & opt positive_int 8 & info [ "connections" ] ~docv:"N" ~doc)
+  in
+  let repeat =
+    let doc = "Rounds per connection." in
+    Arg.(value & opt positive_int 3 & info [ "repeat" ] ~docv:"N" ~doc)
+  in
+  let send name doc request =
+    Cmd.v (Cmd.info name ~doc) Term.(ret (const run_client $ socket_arg $ out $ request))
+  in
+  let control name doc op = send name doc (Term.const (Ok { op; file = None })) in
+  let request { name; request; _ } =
+    send name ("Send a $(b," ^ name ^ ") request; the payload is its --json output.") request
+  in
+  let bench { name; request; _ } =
+    let doc = "Issue $(b," ^ name ^ ") requests and print a one-line JSON summary." in
+    Cmd.v (Cmd.info name ~doc)
+      Term.(ret (const run_bench $ socket_arg $ connections $ repeat $ request))
+  in
   let doc =
     "Talk to a running $(b,nocmap serve) daemon: issue one request and print (or $(b,--out)) \
      the payload — byte-identical to the equivalent one-shot command's output — or drive a \
      multi-connection load test with $(b,bench)."
   in
-  Cmd.v
-    (Cmd.info "client" ~doc)
-    Term.(
-      ret
-        (const run_client $ client_action_arg $ socket_arg $ input_term ~pos:1 () $ config_term
-       $ deep_arg $ torus_axis_arg $ client_from_arg $ client_to_arg $ client_out_arg
-       $ connections_arg $ repeat_arg $ bench_op_arg))
+  Cmd.group (Cmd.info "client" ~doc)
+    ([
+       control "ping" "Check that the daemon is up." Protocol.Ping;
+       control "stats" "Print the daemon's metrics registry as JSON." Protocol.Stats;
+       control "shutdown" "Drain in-flight work and stop the daemon." Protocol.Shutdown;
+     ]
+    @ List.map request operations
+    @ [
+        Cmd.group
+          (Cmd.info "bench" ~doc:"The load driver: one op from many connections, many rounds.")
+          (List.map bench operations);
+      ])
 
 (* --- obs ------------------------------------------------------------------------- *)
 
@@ -1311,19 +1275,14 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            map_cmd;
-            experiments_cmd;
-            generate_cmd;
-            simulate_cmd;
-            export_cmd;
-            explore_cmd;
-            report_cmd;
-            lint_cmd;
-            certify_cmd;
-            remap_cmd;
-            cache_cmd;
-            serve_cmd;
-            client_cmd;
-            obs_cmd;
-          ]))
+          (List.map oneshot_cmd operations
+          @ [
+              experiments_cmd;
+              generate_cmd;
+              simulate_cmd;
+              report_cmd;
+              cache_cmd;
+              serve_cmd;
+              client_cmd;
+              obs_cmd;
+            ])))

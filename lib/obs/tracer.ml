@@ -174,50 +174,6 @@ let export_chrome () =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let summary_text () =
-  let evs = events () in
-  if evs = [] then "no spans recorded\n"
-  else begin
-    let tbl : (string, int ref * float ref * float ref * float ref) Hashtbl.t =
-      Hashtbl.create 32
-    in
-    List.iter
-      (fun (e : event) ->
-        let count, wall, wmax, cpu =
-          match Hashtbl.find_opt tbl e.name with
-          | Some cell -> cell
-          | None ->
-            let cell = (ref 0, ref 0.0, ref 0.0, ref 0.0) in
-            Hashtbl.replace tbl e.name cell;
-            cell
-        in
-        let ms = Int64.to_float e.dur_ns /. 1e6 in
-        incr count;
-        wall := !wall +. ms;
-        if ms > !wmax then wmax := ms;
-        cpu := !cpu +. (e.cpu_s *. 1e3))
-      evs;
-    let rows =
-      Hashtbl.fold (fun name (c, w, m, u) acc -> (name, !c, !w, !m, !u) :: acc) tbl []
-      |> List.sort (fun (an, _, aw, _, _) (bn, _, bw, _, _) ->
-             match compare bw aw with 0 -> compare an bn | c -> c)
-    in
-    let name_w =
-      List.fold_left (fun w (n, _, _, _, _) -> max w (String.length n)) 4 rows
-    in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      (Printf.sprintf "%-*s %8s %12s %12s %12s %12s\n" name_w "span" "count" "total-ms"
-         "mean-ms" "max-ms" "cpu-ms");
-    List.iter
-      (fun (n, c, w, m, u) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-*s %8d %12.3f %12.3f %12.3f %12.3f\n" name_w n c w
-             (w /. float_of_int c) m u))
-      rows;
-    Buffer.contents buf
-  end
-
 let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)

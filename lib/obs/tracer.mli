@@ -60,9 +60,5 @@ val export_chrome : unit -> string
     plus [thread_name] metadata per domain.  Loadable in Perfetto /
     chrome://tracing. *)
 
-val summary_text : unit -> string
-(** Per-span-name aggregation (count, total/mean/max wall ms, CPU ms),
-    sorted by total descending. *)
-
 val write_file : string -> string -> unit
 (** [write_file path contents]: small helper used by the CLI exporters. *)
