@@ -47,6 +47,16 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Likewise a duration in milliseconds must be finite and non-negative. *)
+let non_negative_ms =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x >= 0. -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not a finite, non-negative number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 (* --- benchmark selection ------------------------------------------------- *)
 
 let load_benchmark ~name ~use_cases ~seed =
@@ -428,11 +438,15 @@ let run_map () refine wc no_prune vhdl systemc dump dot dot_uc certify json requ
         print_design (spec.DF.name ^ " (WC method)") m true;
         emits spec.DF.name m)
   | _ -> (
-    let post = if certify then Some certify_design else None in
-    match Service.run ~prune:(not no_prune) ~refine ?post job with
+    match Service.run ~prune:(not no_prune) ~refine job with
     | Error msg -> Error msg
     | Ok (Payload.Design d as outcome) ->
       let name = d.DF.spec.DF.name in
+      let* () =
+        if certify then
+          Result.map_error (Printf.sprintf "%s: post-phase: %s" name) (certify_design d)
+        else Ok ()
+      in
       print_design name d.DF.mapping (DF.verified d);
       Option.iter
         (fun file ->
@@ -865,7 +879,7 @@ let linger_ms_arg =
      coalesce into one batch.  0 executes as soon as the sockets are drained (requests \
      arriving while a batch computes still form the next batch naturally)."
   in
-  Arg.(value & opt float serve_defaults.linger_ms & info [ "linger-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt non_negative_ms serve_defaults.linger_ms & info [ "linger-ms" ] ~docv:"MS" ~doc)
 
 let retry_after_ms_arg =
   let doc = "Backoff hint attached to load-shed failures." in

@@ -3,7 +3,6 @@ module DF = Noc_core.Design_flow
 module Feasibility = Noc_core.Feasibility
 module Config = Noc_arch.Noc_config
 module Flow = Noc_traffic.Flow
-module Use_case = Noc_traffic.Use_case
 module D = Diagnostic
 
 type analysis = {
@@ -11,209 +10,13 @@ type analysis = {
   spec : DF.spec option;
 }
 
-(* Per-use-case accumulator, in declaration order. *)
-type uc_acc = {
-  u_name : string;
-  u_line : int;
-  mutable u_flows : Flow.t list;  (* valid flows, reversed *)
-  mutable u_pairs : (int * int * Flow.service) list;  (* for duplicate detection *)
-}
+let diagnostic (f : Sp.finding) =
+  let severity = match f.Sp.severity with `Error -> D.Error | `Warning -> D.Warning in
+  D.v ?line:f.Sp.at ~pass:f.Sp.pass severity f.Sp.text
 
 let check doc =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let addf ?line ~pass sev fmt = Printf.ksprintf (fun m -> add (D.v ?line ~pass sev m)) fmt in
-  let name = ref doc.Sp.doc_name in
-  let cores = ref None (* (value, line) of the first well-formed 'cores' *) in
-  let missing_cores_reported = ref false in
-  let ucs : uc_acc list ref = ref [] (* reversed *) in
-  let current = ref None in
-  let parallel_decls = ref [] (* (line, names), reversed *) in
-  let smooth_decls = ref [] (* (line, a, b), reversed *) in
-  let find_uc n = List.find_opt (fun u -> u.u_name = n) !ucs in
-  List.iter
-    (fun (line, ev) ->
-      match ev with
-      | Sp.Bad message -> add (D.v ~line ~pass:"syntax" Error message)
-      | Sp.Name n -> name := n
-      | Sp.Cores v ->
-        if v < 2 then addf ~line ~pass:"cores" Error "a SoC needs at least two cores, not %d" v
-        else if !cores <> None then
-          addf ~line ~pass:"cores" Error "duplicate 'cores' directive"
-        else cores := Some (v, line)
-      | Sp.Use_case_decl n -> (
-        match find_uc n with
-        | Some u ->
-          addf ~line ~pass:"duplicate-use-case" Error
-            "duplicate use-case '%s' (first declared on line %d)" n u.u_line;
-          current := Some u (* merge flows into the original *)
-        | None ->
-          let u = { u_name = n; u_line = line; u_flows = []; u_pairs = [] } in
-          ucs := u :: !ucs;
-          current := Some u)
-      | Sp.Flow_decl f -> (
-        match !current with
-        | None ->
-          add (D.v ~line ~pass:"orphan-flow" Error "flow outside any use-case")
-        | Some u ->
-          let ok = ref true in
-          let err pass fmt =
-            Printf.ksprintf
-              (fun m ->
-                ok := false;
-                add (D.v ~line ~pass Error m))
-              fmt
-          in
-          if f.Flow.src = f.Flow.dst then
-            err "self-flow" "flow %d -> %d connects a core to itself" f.Flow.src f.Flow.dst;
-          if f.Flow.bandwidth <= 0.0 then
-            err "zero-bandwidth" "flow %d -> %d requests %.1f MB/s — it reserves nothing"
-              f.Flow.src f.Flow.dst f.Flow.bandwidth;
-          (match !cores with
-          | Some (c, _) ->
-            if f.Flow.src < 0 || f.Flow.src >= c || f.Flow.dst < 0 || f.Flow.dst >= c then
-              err "flow-range" "flow %d -> %d references a core outside 0..%d" f.Flow.src
-                f.Flow.dst (c - 1)
-          | None ->
-            if not !missing_cores_reported then begin
-              missing_cores_reported := true;
-              addf ~line ~pass:"missing-cores" Error "declare 'cores N' before flows"
-            end);
-          if f.Flow.latency_ns <= 0.0 then
-            err "nonpositive-latency" "flow %d -> %d has a non-positive latency bound"
-              f.Flow.src f.Flow.dst;
-          if (not (Flow.is_guaranteed f)) && f.Flow.latency_ns <> infinity then
-            err "be-latency"
-              "flow %d -> %d is best-effort but carries a latency bound (no mechanism \
-               honours it)"
-              f.Flow.src f.Flow.dst;
-          let key = (f.Flow.src, f.Flow.dst, f.Flow.service) in
-          if List.mem key u.u_pairs then
-            addf ~line ~pass:"duplicate-flow" Warning
-              "use-case '%s' already has a %s flow %d -> %d: the parser merges them \
-               (bandwidths sum, latencies min)"
-              u.u_name
-              (if Flow.is_guaranteed f then "guaranteed" else "best-effort")
-              f.Flow.src f.Flow.dst;
-          u.u_pairs <- key :: u.u_pairs;
-          if !ok then u.u_flows <- f :: u.u_flows)
-      | Sp.Parallel names -> parallel_decls := (line, names) :: !parallel_decls
-      | Sp.Smooth (a, b) -> smooth_decls := (line, a, b) :: !smooth_decls)
-    doc.Sp.events;
-  let ucs = List.rev !ucs in
-  let order = List.map (fun u -> u.u_name) ucs in
-  let id_of n =
-    let rec go i = function
-      | [] -> None
-      | u :: _ when u = n -> Some i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 order
-  in
-  (* Resolve one referenced name; [None] drops it with a diagnostic. *)
-  let resolve ~line ~where n =
-    match find_uc n with
-    | None ->
-      add
-        (D.vf ~line ~pass:"dangling-ref" Error "unknown use-case '%s' in '%s'" n where);
-      None
-    | Some u ->
-      if u.u_line > line then
-        add
-          (D.vf ~line ~pass:"forward-ref" Error
-             "use-case '%s' is declared on line %d, after this '%s' reference" n u.u_line
-             where);
-      id_of n
-  in
-  let parallel =
-    List.rev_map
-      (fun (line, names) ->
-        if List.length names < 2 then begin
-          addf ~line ~pass:"parallel-arity" Error "'parallel' needs at least two use-cases";
-          (line, [])
-        end
-        else begin
-          let ids = List.filter_map (resolve ~line ~where:"parallel") names in
-          let distinct =
-            List.fold_left (fun acc i -> if List.mem i acc then acc else i :: acc) [] ids
-            |> List.rev
-          in
-          if List.length distinct < List.length ids then
-            addf ~line ~pass:"duplicate-ref" Error
-              "a use-case appears twice in one 'parallel' set";
-          (line, if List.length distinct >= 2 then distinct else [])
-        end)
-      !parallel_decls
-  in
-  let seen_pairs = ref [] in
-  let smooth =
-    List.rev_map
-      (fun (line, a, b) ->
-        match (resolve ~line ~where:"smooth" a, resolve ~line ~where:"smooth" b) with
-        | Some ia, Some ib when ia = ib ->
-          addf ~line ~pass:"self-smooth" Error
-            "'smooth %s %s' pairs a use-case with itself" a b;
-          (line, None)
-        | Some ia, Some ib ->
-          let key = (min ia ib, max ia ib) in
-          if List.mem key !seen_pairs then begin
-            addf ~line ~pass:"duplicate-ref" Warning
-              "smooth pair '%s' / '%s' is already required" a b;
-            (line, None)
-          end
-          else begin
-            seen_pairs := key :: !seen_pairs;
-            (* Inside one compound the pair is smooth by construction
-               (paper §4): members of a parallel set are linked to the
-               compound use-case automatically. *)
-            List.iter
-              (fun (pline, ids) ->
-                if List.mem ia ids && List.mem ib ids then
-                  addf ~line ~pass:"redundant-smooth" Warning
-                    "smooth '%s' '%s' is already implied by the 'parallel' set on line %d"
-                    a b pline)
-              parallel;
-            (line, Some (ia, ib))
-          end
-        | _ -> (line, None))
-      !smooth_decls
-  in
-  List.iter
-    (fun u ->
-      if u.u_flows = [] then
-        addf ~line:u.u_line ~pass:"unreachable-use-case" Warning
-          "use-case '%s' declares no (valid) traffic: it constrains nothing" u.u_name)
-    ucs;
-  let spec =
-    match (!cores, ucs) with
-    | None, _ ->
-      if not !missing_cores_reported then
-        add (D.v ~pass:"missing-cores" Error "missing 'cores' directive");
-      None
-    | _, [] ->
-      add (D.v ~pass:"no-use-cases" Error "no use-cases declared");
-      None
-    | Some (c, _), _ -> (
-      try
-        let use_cases =
-          List.mapi
-            (fun id u ->
-              Use_case.create ~id ~name:u.u_name ~cores:c
-                (List.rev (List.filter (fun f -> Flow.validate ~cores:c f = Ok ()) u.u_flows)))
-            ucs
-        in
-        Some
-          {
-            DF.name = !name;
-            use_cases;
-            parallel = List.filter_map (fun (_, ids) -> if ids = [] then None else Some ids) parallel;
-            smooth = List.filter_map snd smooth;
-          }
-      with Invalid_argument msg ->
-        add (D.vf ~pass:"spec" Error "cannot assemble the spec: %s" msg);
-        None)
-  in
-  { diagnostics = List.rev !diags; spec }
+  let findings, spec = Sp.check doc in
+  { diagnostics = List.map diagnostic findings; spec }
 
 (* First source line declaring a flow on this ordered pair (compound
    use-cases have no lines of their own; their flows all come from a

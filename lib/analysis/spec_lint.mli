@@ -1,18 +1,12 @@
 (** Pre-mapping passes: spec well-formedness and static feasibility.
 
-    {!check} walks a located document ({!Noc_core.Spec_parser.doc})
-    leniently: every problem becomes a diagnostic instead of aborting,
-    and a best-effort spec is still assembled from the valid
-    declarations so the feasibility passes can run on a broken file.
-    A spec that the strict parser accepts, maps and verifies produces
-    no error-severity diagnostics (the lint-cleanliness property test).
-
-    Well-formedness passes: [syntax], [cores], [missing-cores],
-    [no-use-cases], [duplicate-use-case], [orphan-flow], [self-flow],
-    [zero-bandwidth], [flow-range], [nonpositive-latency],
-    [be-latency], [duplicate-flow], [unreachable-use-case],
-    [parallel-arity], [dangling-ref], [forward-ref], [duplicate-ref],
-    [self-smooth], [redundant-smooth].
+    {!check} renders the findings of {!Noc_core.Spec_parser.check} —
+    the same walk [Spec_parser.parse] resolves a spec with — one to one
+    as diagnostics, and passes on its best-effort spec so the
+    feasibility passes can run on a broken file.  The well-formedness
+    pass ids are the finding ids listed there.  A spec that the parser
+    accepts produces no error-severity diagnostic from {!check}, and a
+    spec it rejects produces one on the line the parser names.
 
     Feasibility passes ({!feasibility}): [infeasible-flow] (a flow no
     mesh of any size can carry, with its declaring line),
@@ -22,7 +16,7 @@
     cannot accept. *)
 
 type analysis = {
-  diagnostics : Diagnostic.t list;  (** in source order *)
+  diagnostics : Diagnostic.t list;  (** one per finding, in walk order *)
   spec : Noc_core.Design_flow.spec option;
       (** best-effort resolution; [None] when cores or use-cases are
           missing entirely *)

@@ -48,7 +48,7 @@ let assemble ?refinement ~spec ~all_use_cases ~compounds ~groups mapping =
   Metrics.incr ~by:report.Verify.checks m_verify_checks;
   package ?refinement ~spec ~all_use_cases ~compounds ~groups ~report mapping
 
-let run ?config ?prune ?(refine = false) ?post spec =
+let run ?config ?prune ?(refine = false) spec =
   match spec.use_cases with
   | [] -> Error "design flow: no use-cases"
   | _ ->
@@ -76,18 +76,7 @@ let run ?config ?prune ?(refine = false) ?post spec =
           let mapping =
             match refinement with Some o -> o.Refine.result | None -> mapping
           in
-          let design = assemble ?refinement ~spec ~all_use_cases:all ~compounds ~groups mapping in
-          (* Optional post-phase (e.g. independent certification from
-             noc_analysis, which this library cannot depend on). *)
-          let post_verdict =
-            match post with
-            | None -> Ok ()
-            | Some check ->
-              Tracer.with_span ~cat:"flow" "phase:post" (fun () -> check design)
-          in
-          (match post_verdict with
-          | Ok () -> Ok design
-          | Error msg -> Error (Printf.sprintf "%s: post-phase: %s" spec.name msg)))
+          Ok (assemble ?refinement ~spec ~all_use_cases:all ~compounds ~groups mapping))
 
 let switch_count t = Mapping.switch_count t.mapping
 

@@ -68,17 +68,12 @@ val run :
   ?config:Noc_arch.Noc_config.t ->
   ?prune:bool ->
   ?refine:bool ->
-  ?post:(t -> (unit, string) result) ->
   spec ->
   (t, string) result
 (** Run all phases.  [prune] (default true) skips mesh sizes whose {!Feasibility} certificate proves them
     infeasible — same result, fewer attempts.  [refine] (default
     false) additionally runs the simulated-annealing placement
-    refinement.  [post] runs on the assembled design as an optional
-    final phase (traced as [phase:post]); an [Error] from it fails the
-    whole run.  The CLI plugs independent certification
-    ([Noc_analysis.Certify], which this library cannot depend on) in
-    here.  Fails with a readable message when no mesh up to the growth
+    refinement.  Fails with a readable message when no mesh up to the growth
     cap maps the design. *)
 
 val switch_count : t -> int

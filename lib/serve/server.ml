@@ -281,7 +281,9 @@ let bind_socket path =
 let running = Atomic.make false
 
 let run cfg =
-  if Atomic.exchange running true then Error "a server is already running in this process"
+  if not (Float.is_finite cfg.linger_ms && cfg.linger_ms >= 0.) then
+    Error (Printf.sprintf "linger_ms must be finite and non-negative, not %g" cfg.linger_ms)
+  else if Atomic.exchange running true then Error "a server is already running in this process"
   else begin
     Atomic.set stop_flag false;
     let finish r = Atomic.set running false; r in
@@ -328,11 +330,14 @@ let run cfg =
           let writes =
             Hashtbl.fold (fun fd c acc -> if pending_out c > 0 then fd :: acc else acc) t.clients []
           in
+          (* Never wait longer than the idle poll, however long the
+             linger window: select refuses huge timeouts. *)
+          let idle_poll = 0.1 in
           let timeout =
             match t.linger_deadline with
             | Some deadline when not (Queue.is_empty t.queue) ->
-              Float.max 0.001 (deadline -. Clock.wall ())
-            | _ -> if Queue.is_empty t.queue then 0.1 else 0.001
+              Float.min idle_poll (Float.max 0.001 (deadline -. Clock.wall ()))
+            | _ -> if Queue.is_empty t.queue then idle_poll else 0.001
           in
           let readable, writable, _ =
             match Unix.select reads writes [] timeout with
@@ -347,9 +352,10 @@ let run cfg =
                 | Some c -> handle_readable t c
                 | None -> ())
             readable;
+          (* A drain executes a held batch at once. *)
           let linger_active =
             match t.linger_deadline with
-            | Some deadline -> Clock.wall () < deadline
+            | Some deadline -> (not t.draining) && Clock.wall () < deadline
             | None -> false
           in
           if (not (Queue.is_empty t.queue)) && not linger_active then execute_queue t;

@@ -47,7 +47,8 @@ type config = {
   socket_path : string;
   max_queue : int;        (** pending-request cap across all clients *)
   max_inflight : int;     (** per-client queued-request cap *)
-  linger_ms : float;      (** batching window once the queue is non-empty *)
+  linger_ms : float;      (** batching window once the queue is non-empty;
+                              finite and non-negative, cut short by a drain *)
   retry_after_ms : int;   (** backoff hint attached to load-shed failures *)
   install_signals : bool; (** drain on SIGTERM/SIGINT (the CLI sets this;
                               tests use {!stop} instead) *)
@@ -64,7 +65,8 @@ val stop : unit -> unit
 
 val run : config -> (unit, string) result
 (** Bind the socket and serve until a shutdown request, {!stop}, or a
-    handled signal.  Blocks the calling domain.  Errors when the
-    socket cannot be bound (e.g. the path is taken by a live server).
+    handled signal.  Blocks the calling domain.  Errors when
+    [linger_ms] is negative or not finite, or when the socket cannot
+    be bound (e.g. the path is taken by a live server).
     A stale socket file whose server is gone is replaced.  At most
     one server may run per process at a time. *)

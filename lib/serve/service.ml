@@ -177,11 +177,11 @@ let plan jobs =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let run ?(prune = true) ?(refine = false) ?post ?(warm = true) j =
+let run ?(prune = true) ?(refine = false) ?(warm = true) j =
   let ( let* ) = Result.bind in
   match j.kind with
   | Map_k { spec; config } ->
-    let* d = DF.run ~config ~prune ~refine ?post spec in
+    let* d = DF.run ~config ~prune ~refine spec in
     Ok (Payload.Design d)
   | Explore_k { spec; config; axes } ->
     let all, _compounds, groups = DF.expand spec in

@@ -67,7 +67,6 @@ val plan : job array -> plan
 val run :
   ?prune:bool ->
   ?refine:bool ->
-  ?post:(Noc_core.Design_flow.t -> (unit, string) result) ->
   ?warm:bool ->
   job ->
   (Payload.outcome, string) result
@@ -79,9 +78,8 @@ val run :
     skips certified-infeasible sizes, and [warm] (default [true];
     [--cold]) seeds explore points from solved neighbours.  The remap
     oracle is no option here: it is the same call with the cache off
-    ([--no-cache]).  [refine] (default [false];
-    [map --refine]) adds the annealing refinement and [post] a final
-    design-flow phase ([map --certify]); both apply to [map] only. *)
+    ([--no-cache]).  [refine] (default [false]; [map --refine]) adds
+    the annealing refinement to [map]. *)
 
 val execute : job -> (string, string) result
 (** {!run} with the defaults, rendered by {!Payload.render}: the

@@ -91,6 +91,38 @@ let test_spec_lint_pass_catalogue () =
   Alcotest.(check bool) "self-smooth" true (flagged "self-smooth" 8);
   Alcotest.(check bool) "parallel-arity" true (flagged "parallel-arity" 9)
 
+(* Each repeated flow warns on its own line, in walk order, whether or
+   not the spec resolves: only use-cases that kept fewer flows than
+   they declared are replayed for them. *)
+let test_duplicate_flows_warn () =
+  let body =
+    [
+      "use-case a";
+      "  flow 0 -> 1 bw 10";
+      "  flow 1 -> 2 bw 5";
+      "  flow 0 -> 1 bw 3";       (* repeat *)
+      "use-case b";
+      "  flow 0 -> 1 bw 10";
+      "  flow 1 -> 1 bw 2";
+      "  flow 1 -> 1 bw 2";       (* repeat of a rejected flow *)
+      "  flow 0 -> 1 bw 4 be";    (* best effort: another connection *)
+      "use-case a";
+      "  flow 1 -> 2 bw 1";       (* repeat in the re-opened use-case *)
+    ]
+  in
+  let walk_passes = [ "duplicate-use-case"; "self-flow"; "missing-cores"; "duplicate-flow" ] in
+  List.iter
+    (fun (label, lines, expected) ->
+      let findings, _ = Sp.check (Sp.parse_doc ~name:"dup" (String.concat "\n" lines)) in
+      let at pass = List.filter_map (fun f -> if f.Sp.pass = pass then f.Sp.at else None) in
+      Alcotest.(check (list int)) (label ^ ": duplicate-flow lines") expected
+        (at "duplicate-flow" findings);
+      let walked = List.filter (fun f -> List.mem f.Sp.pass walk_passes) findings in
+      Alcotest.(check (list (option int))) (label ^ ": walk order")
+        (List.sort compare (List.map (fun f -> f.Sp.at) walked))
+        (List.map (fun f -> f.Sp.at) walked))
+    [ ("with cores", "cores 3" :: body, [ 5; 9; 12 ]); ("without cores", body, [ 4; 8; 11 ]) ]
+
 let test_render_json_is_valid_json () =
   let report = Analyzer.analyze_doc (Sp.parse_doc ~name:"demo" infeasible_text) in
   (match Noc_export.Json.(validate (to_string ~indent:2 (Analyzer.to_json report))) with
@@ -284,9 +316,159 @@ let prop_mappable_specs_lint_clean =
              (fun d -> d.D.severity <> D.Error)
              (Analyzer.analyze_spec spec).Analyzer.diagnostics)
 
+(* --- one resolver: the shipped walk against the strict oracle -------------- *)
+
+module Rng = Noc_util.Rng
+module Reference_spec = Noc_oracle.Reference_spec
+
+(* Base documents: the example specs, D1-D4, the Fig. 4 spec (parallel
+   sets and a smooth pair) and a seeded synthetic spec. *)
+let example_specs =
+  lazy
+    (* [dune runtest] runs in test/, [dune exec] in the project root *)
+    (let dir = List.find Sys.file_exists [ "../examples/specs"; "examples/specs" ] in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".spec")
+     |> List.sort compare
+     |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let design_specs =
+  lazy
+    (Sp.to_text (SD.fig4_spec ())
+    :: List.map
+         (fun (name, ucs) -> Sp.to_text (DF.spec_of_use_cases ~name ucs))
+         [ ("d1", SD.d1 ()); ("d2", SD.d2 ()); ("d3", SD.d3 ()); ("d4", SD.d4 ()) ])
+
+let synthetic_spec rng =
+  let params = { Syn.spread_params with cores = 6; flows_lo = 2; flows_hi = 5 } in
+  let n = Rng.int_in rng 2 4 in
+  let ucs = Syn.generate ~seed:(Rng.int rng 1_000_000) ~params ~use_cases:n in
+  Sp.to_text { DF.name = "syn"; use_cases = ucs; parallel = [ [ 0; n - 1 ] ]; smooth = [ (0, 1) ] }
+
+let words line = String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+
+(* One line-level mutation; the cases cover what the two resolvers
+   must agree on: lost, repeated and reordered lines, core counts,
+   references before declarations, self and repeated smooth pairs,
+   repeated parallel sets, self flows and latency bounds on best-effort
+   flows. *)
+let mutate rng lines =
+  let n = Array.length lines in
+  let pick () = Rng.int rng n in
+  let lines_where p = List.filter (fun i -> p lines.(i)) (List.init n Fun.id) in
+  let any_of = function [] -> None | l -> Some (List.nth l (Rng.int rng (List.length l))) in
+  let starts word l = match words l with w :: _ -> w = word | [] -> false in
+  let names =
+    List.filter_map
+      (fun l -> match words l with [ "use-case"; u ] -> Some u | _ -> None)
+      (Array.to_list lines)
+  in
+  let a_name () = match any_of names with Some u -> u | None -> "x" in
+  let insert i l = Array.concat [ Array.sub lines 0 i; [| l |]; Array.sub lines i (n - i) ] in
+  let at_random l = insert (Rng.int rng (n + 1)) l in
+  let edit p f =
+    match any_of (lines_where p) with
+    | None -> lines
+    | Some i ->
+      let c = Array.copy lines in
+      c.(i) <- f c.(i);
+      c
+  in
+  if n = 0 then lines
+  else
+    match Rng.int rng 9 with
+    | 0 ->
+      let i = pick () in
+      Array.append (Array.sub lines 0 i) (Array.sub lines (i + 1) (n - i - 1))
+    | 1 -> at_random lines.(pick ())
+    | 2 ->
+      let c = Array.copy lines and i = pick () and j = pick () in
+      c.(i) <- lines.(j);
+      c.(j) <- lines.(i);
+      c
+    | 3 -> edit (starts "cores") (fun _ -> Printf.sprintf "cores %d" (Rng.int rng 2))
+    | 4 -> (
+      match any_of (lines_where (fun l -> starts "parallel" l || starts "smooth" l)) with
+      | Some i -> insert 0 lines.(i)
+      | None -> insert 0 (Printf.sprintf "smooth %s %s" (a_name ()) (a_name ())))
+    | 5 ->
+      let u = a_name () in
+      at_random (Printf.sprintf "smooth %s %s" u u)
+    | 6 -> (
+      match any_of (lines_where (fun l -> starts "parallel" l || starts "smooth" l)) with
+      | Some i -> (
+        match words lines.(i) with
+        | [ "smooth"; a; b ] when Rng.bool rng -> Array.append lines [| "smooth " ^ b ^ " " ^ a |]
+        | _ -> Array.append lines [| lines.(i) |])
+      | None ->
+        let a = a_name () and b = a_name () in
+        Array.append lines [| "smooth " ^ a ^ " " ^ b; "smooth " ^ a ^ " " ^ b |])
+    | 7 ->
+      edit (starts "flow") (fun l ->
+          match words l with
+          | "flow" :: src :: "->" :: _ :: rest ->
+            String.concat " " ("flow" :: src :: "->" :: src :: rest)
+          | _ -> l)
+    | _ -> edit (starts "flow") (fun l -> l ^ " lat 500 be")
+
+let mutated_doc seed =
+  let rng = Rng.create ~seed in
+  let examples = Lazy.force example_specs and designs = Lazy.force design_specs in
+  let base =
+    match Rng.int rng 3 with
+    | 0 -> List.nth examples (Rng.int rng (List.length examples))
+    | 1 -> List.nth designs (Rng.int rng (List.length designs))
+    | _ -> synthetic_spec rng
+  in
+  let lines = ref (Array.of_list (String.split_on_char '\n' base)) in
+  for _ = 1 to Rng.int rng 4 do
+    lines := mutate rng !lines
+  done;
+  String.concat "\n" (Array.to_list !lines)
+
+(* [parse] resolves exactly as the strict resolver it replaced did (same
+   specs, same error lines), and [lint] reports an error exactly when
+   [parse] fails: its first error is the one [parse] returns. *)
+let prop_one_resolver =
+  QCheck.Test.make ~name:"parse == strict oracle; lint's first error == parse's" ~count:1000
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let text = mutated_doc seed in
+      let fail fmt = QCheck.Test.fail_reportf ("seed %d: " ^^ fmt ^^ "@.%s") seed in
+      let parsed = Sp.parse ~name:"m" text in
+      (match (parsed, Reference_spec.parse ~name:"m" text) with
+      | Ok s, Ok r ->
+        if s <> r then fail "the spec differs from the oracle's" text;
+        if Sp.to_text s <> Sp.to_text r then fail "to_text differs from the oracle's" text
+      | Error e, Error r ->
+        if e.Sp.line <> r.Sp.line then
+          fail "error on line %d, the oracle's on %d" e.Sp.line r.Sp.line text
+      | Ok _, Error r -> fail "accepted; the oracle fails on line %d" r.Sp.line text
+      | Error e, Ok _ -> fail "fails on line %d; the oracle accepts" e.Sp.line text);
+      let lint_errors =
+        (Noc_analysis.Spec_lint.check (Sp.parse_doc ~name:"m" text))
+          .Noc_analysis.Spec_lint.diagnostics
+        |> List.filter (fun d -> d.D.severity = D.Error)
+        |> List.stable_sort D.compare
+      in
+      (match (parsed, lint_errors) with
+      | Ok _, [] -> ()
+      | Ok _, d :: _ -> fail "parse accepts; lint errs: %s" (Format.asprintf "%a" D.pp d) text
+      | Error e, [] -> fail "parse fails (%s); lint has no error" e.Sp.message text
+      | Error e, d :: _ ->
+        let line = Option.value d.D.line ~default:0 in
+        if line <> e.Sp.line || d.D.message <> e.Sp.message then
+          fail "parse fails with %a; lint's first error is %a" Sp.pp_error e D.pp d text);
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_certificate_soundness; prop_rejected_sizes_are_a_prefix; prop_mappable_specs_lint_clean ]
+    [
+      prop_certificate_soundness;
+      prop_rejected_sizes_are_a_prefix;
+      prop_mappable_specs_lint_clean;
+      prop_one_resolver;
+    ]
 
 let () =
   Alcotest.run "noc_analysis"
@@ -296,6 +478,7 @@ let () =
           Alcotest.test_case "names both defect lines" `Quick test_lint_names_both_defect_lines;
           Alcotest.test_case "clean spec" `Quick test_clean_spec_has_no_diagnostics;
           Alcotest.test_case "pass catalogue" `Quick test_spec_lint_pass_catalogue;
+          Alcotest.test_case "duplicate flows warn" `Quick test_duplicate_flows_warn;
           Alcotest.test_case "JSON renderer" `Quick test_render_json_is_valid_json;
           Alcotest.test_case "deep lint on d1" `Quick test_deep_lint_on_benchmark_is_clean;
         ] );

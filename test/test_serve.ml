@@ -413,8 +413,8 @@ let socket_path name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "nocmap-test-%d-%s.sock" (Unix.getpid ()) name)
 
-let start_server cfg =
-  let handle = Domain.spawn (fun () -> Server.run cfg) in
+let start_server ?(on_exit = ignore) cfg =
+  let handle = Domain.spawn (fun () -> Fun.protect ~finally:on_exit (fun () -> Server.run cfg)) in
   (* Wait for the socket to accept connections. *)
   let rec wait tries =
     if tries = 0 then Alcotest.fail "server socket never came up"
@@ -637,6 +637,46 @@ let test_graceful_shutdown () =
   | None -> Alcotest.fail "no STATS flushed to the disk tier");
   Mapping_cache.set_dir None
 
+(* The batching window is validated before anything is bound, and a
+   huge finite one never reaches [select] (which refuses huge
+   timeouts): the daemon keeps polling, and a drain executes the batch
+   it holds. *)
+let test_linger_bounds () =
+  List.iter
+    (fun linger_ms ->
+      let cfg =
+        { (Server.default_config ~socket_path:(socket_path "linger-bad")) with linger_ms }
+      in
+      match Server.run cfg with
+      | Ok () -> Alcotest.failf "linger_ms %g accepted" linger_ms
+      | Error _ ->
+        Alcotest.(check bool) "no socket bound" false (Sys.file_exists cfg.Server.socket_path))
+    [ infinity; neg_infinity; nan; -1.0 ];
+  let text = Lazy.force d1_text in
+  let cfg =
+    { (Server.default_config ~socket_path:(socket_path "linger-huge")) with linger_ms = 1e300 }
+  in
+  let exited = Atomic.make false in
+  let handle = start_server ~on_exit:(fun () -> Atomic.set exited true) cfg in
+  let client =
+    Domain.spawn (fun () ->
+        match Client.connect ~socket:cfg.Server.socket_path () with
+        | Error msg -> Error msg
+        | Ok conn ->
+          let r = Client.request conn (map_op "d1" text) in
+          Client.close conn;
+          r)
+  in
+  (* Several idle polls pass with the request held in the window. *)
+  Unix.sleepf 0.3;
+  if Atomic.get exited then Alcotest.fail "the daemon died holding a request";
+  Server.stop ();
+  (match Domain.join client with
+  | Ok (P.Result _) -> ()
+  | Ok (P.Failure { message; _ }) -> Alcotest.failf "held request failed: %s" message
+  | Error msg -> Alcotest.failf "client failed: %s" msg);
+  join_server handle
+
 let test_bad_requests () =
   let cfg = Server.default_config ~socket_path:(socket_path "bad") in
   let handle = start_server cfg in
@@ -809,6 +849,7 @@ let () =
           Alcotest.test_case "version mismatch rejected" `Quick test_version_mismatch;
           Alcotest.test_case "graceful shutdown drains and flushes" `Quick
             test_graceful_shutdown;
+          Alcotest.test_case "linger window bounded" `Quick test_linger_bounds;
           Alcotest.test_case "bad requests fail structurally" `Quick test_bad_requests;
           Alcotest.test_case "lines split as bytes arrive" `Quick test_split_lines;
           Alcotest.test_case "unexpandable spec survived" `Quick
